@@ -75,9 +75,9 @@ fn strip_reports(mut result: SimResult) -> SimResult {
 
 /// Rebuilds a summary `SimResult` from a cached reference record — enough
 /// for [`ExperimentOutcome::compare`] (cycles + wall time) and for callers
-/// inspecting task counts.
-fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult {
-    let m = stored.record.metrics.as_reference().expect("reference record");
+/// inspecting task counts. `None` when the record is not a reference.
+fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> Option<SimResult> {
+    let m = stored.record.metrics.as_reference()?;
     // v5 records persist latency percentiles; the stub rebuilds the
     // summary struct (count = completed tasks). Pre-v5 entries default.
     let task_latency = match &m.perf {
@@ -104,7 +104,7 @@ fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult 
             busy_ticks: g.busy_ticks,
         })
         .collect();
-    SimResult {
+    Some(SimResult {
         total_cycles: m.total_cycles,
         wall_seconds: stored.timing.wall_seconds,
         detailed_tasks: m.detailed_tasks,
@@ -124,7 +124,7 @@ fn reference_result_from_stored(stored: &StoredCell, workers: u32) -> SimResult 
         // accounting data", same as a pre-v5 record).
         cycle_accounts: Vec::new(),
         task_latency,
-    }
+    })
 }
 
 /// The per-group metrics a reference result persists: `None` for
@@ -209,9 +209,12 @@ impl Context {
             map.entry(hash.clone()).or_default().clone()
         };
         let entry = slot.get_or_init(|| {
+            // A record of another kind under this hash is a miss, like a
+            // corrupt one: recompute and overwrite it.
             if let Some(stored) = store.load(&hash) {
-                let result = Arc::new(reference_result_from_stored(&stored, spec.workers));
-                return ReferenceEntry { result, stored, cached: true };
+                if let Some(result) = reference_result_from_stored(&stored, spec.workers) {
+                    return ReferenceEntry { result: Arc::new(result), stored, cached: true };
+                }
             }
             let program = self.program(spec.bench, &spec.scale);
             let result = strip_reports(run_reference_observed(
@@ -304,7 +307,7 @@ impl Context {
         };
         let mut ran_sim = false;
         let stored = slot.get_or_init(|| {
-            if let Some(stored) = store.load(&hash) {
+            if let Some(stored) = store.load(&hash).filter(|s| s.record.kind == spec.kind.tag()) {
                 return stored;
             }
             ran_sim = true;
@@ -736,11 +739,45 @@ mod tests {
         let machine = MachineConfig::tiny_test();
         let spec = CellSpec::reference(Benchmark::Reduction, quick(), machine.clone(), 2);
         let entry = ctx.reference_entry(&store, &spec);
-        let stub = reference_result_from_stored(&entry.stored, spec.workers);
+        let stub = reference_result_from_stored(&entry.stored, spec.workers).unwrap();
         assert_eq!(stub.total_cycles, entry.result.total_cycles);
         assert_eq!(stub.detailed_tasks, entry.result.detailed_tasks);
         assert_eq!(stub.workers, 2);
         assert!(stub.groups.is_empty(), "homogeneous stub has no groups");
+    }
+
+    #[test]
+    fn cached_records_of_the_wrong_kind_are_recomputed() {
+        let store = crate::store::tests::tmp_store("wrong-kind");
+        let machine = MachineConfig::tiny_test();
+        let reference = CellSpec::reference(Benchmark::Reduction, quick(), machine.clone(), 2);
+        let sampled =
+            CellSpec::sampled(Benchmark::Reduction, quick(), machine, 2, TaskPointConfig::lazy());
+        let fresh = Context::new();
+        let want_ref = fresh.compute(&ResultStore::disabled(), &reference).record;
+        let want_sampled = fresh.compute(&ResultStore::disabled(), &sampled).record;
+        // Plant each cell's record under the other cell's hash.
+        let swap = |record: &CellRecord, hash: String| {
+            let timing = CellTiming {
+                wall_seconds: 0.1,
+                reference_wall_seconds: None,
+                speedup: None,
+                detailed_instr_per_sec: None,
+            };
+            StoredCell { record: CellRecord { cell: hash, ..record.clone() }, timing }
+        };
+        store.save(&reference.hash_hex(), &swap(&want_sampled, reference.hash_hex()));
+        store.save(&sampled.hash_hex(), &swap(&want_ref, sampled.hash_hex()));
+        let ctx = Context::new();
+        let got_ref = ctx.compute(&store, &reference);
+        assert!(!got_ref.cached, "a sampled record under a reference hash is a miss");
+        assert_eq!(got_ref.record, want_ref);
+        let got_sampled = ctx.compute(&store, &sampled);
+        assert!(!got_sampled.cached, "a reference record under a sampled hash is a miss");
+        assert_eq!(got_sampled.record, want_sampled);
+        // The recomputed records replaced the planted ones.
+        assert_eq!(store.load(&reference.hash_hex()).unwrap().record, want_ref);
+        let _ = store.invalidate_all();
     }
 
     #[test]
@@ -762,7 +799,7 @@ mod tests {
         // different busy time than big cores (the issue's acceptance
         // criterion at the campaign layer).
         assert_ne!(groups[0].busy_ticks, groups[1].busy_ticks);
-        let stub = reference_result_from_stored(&entry.stored, spec.workers);
+        let stub = reference_result_from_stored(&entry.stored, spec.workers).unwrap();
         assert_eq!(stub.groups.len(), 2);
         assert_eq!(stub.groups[0].detailed_tasks, groups[0].detailed_tasks);
         // And the record's canonical JSON round-trips bit-identically.

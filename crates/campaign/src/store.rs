@@ -219,12 +219,12 @@ impl ResultStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::record::{CellMetrics, CellRecord, CellTiming, RefMetrics};
     use taskpoint_workloads::ScaleConfig;
 
-    fn tmp_store(name: &str) -> ResultStore {
+    pub(crate) fn tmp_store(name: &str) -> ResultStore {
         // Keep test artefacts inside the workspace target dir.
         let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/test-stores")

@@ -6,6 +6,9 @@
 //! evaluation are ≤ 20, so linear probing within a set is faster than any
 //! clever structure.
 
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a cache access.
@@ -158,15 +161,8 @@ impl SetAssocCache {
         self.misses = 0;
     }
 
-    /// Zeroes the hit/miss counters while keeping contents (used after
-    /// pre-warming so statistics cover only the measured region).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Installs `line` without touching the hit/miss counters (prefetch or
-    /// prewarm fill). No-op if already present; evicts LRU when full.
+    /// Installs `line` without touching the hit/miss counters (prefetch
+    /// fill). No-op if already present; evicts LRU when full.
     pub fn install(&mut self, line: u64) {
         let ways = self.ways_mut(line);
         if ways.contains(&line) {
@@ -174,6 +170,73 @@ impl SetAssocCache {
         }
         ways.rotate_right(1);
         ways[0] = line;
+    }
+
+    /// Fills an empty cache with exactly the contents and LRU order that
+    /// [`access`](Self::access)ing every line of `spans` in order (each
+    /// span ascending) would leave, without touching the hit/miss counters.
+    ///
+    /// From an empty cache, that state is, per set, the first `assoc`
+    /// distinct lines of the *reversed* access sequence, MRU first. So the
+    /// spans are walked last to first and each span's lines high to low,
+    /// skipping the parts a later span already covered (those lines were
+    /// offered then): every distinct line is offered once, and each set
+    /// appends lines until it is full. The walk stops once every set is
+    /// full.
+    ///
+    /// The cache must be empty (freshly built or [`reset`](Self::reset)).
+    pub fn fill_from_spans(&mut self, spans: &[RangeInclusive<u64>]) {
+        debug_assert_eq!(self.occupancy(), 0, "bulk fill needs an empty cache");
+        let assoc = self.assoc as u32;
+        let set_mask = self.set_mask;
+        let tags = &mut self.tags;
+        let mut fill = vec![0u32; set_mask as usize + 1];
+        let mut open_sets = fill.len();
+        // Offers `lines` high to low; true once every set is full.
+        let mut offer = |lines: std::ops::Range<u64>| {
+            for line in lines.rev() {
+                let set = (line & set_mask) as usize;
+                let ways = fill[set];
+                if ways < assoc {
+                    tags[set * assoc as usize + ways as usize] = line;
+                    fill[set] = ways + 1;
+                    if ways + 1 == assoc {
+                        open_sets -= 1;
+                        if open_sets == 0 {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        };
+        // Union of the spans walked so far as disjoint, non-adjacent
+        // `start -> end` (inclusive) runs.
+        let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
+        for span in spans.iter().rev() {
+            let (lo, hi) = (*span.start(), *span.end());
+            // Lines `lo..top` are not offered yet; `top` drops past each
+            // covered run met walking down, and the runs touching the span
+            // merge into one.
+            let mut top = hi + 1;
+            let (mut run_lo, mut run_hi) = (lo, hi);
+            while let Some((&s, &e)) = covered.range(..=hi.saturating_add(1)).next_back() {
+                if e.saturating_add(1) < lo {
+                    break;
+                }
+                covered.remove(&s);
+                if e + 1 < top && offer(e + 1..top) {
+                    return;
+                }
+                top = top.min(s);
+                run_lo = run_lo.min(s);
+                run_hi = run_hi.max(e);
+            }
+            if lo < top && offer(lo..top) {
+                return;
+            }
+            covered.insert(run_lo, run_hi);
+        }
     }
 
     /// Number of resident lines.
@@ -210,6 +273,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskpoint_stats::rng::Xoshiro256pp;
 
     fn small() -> SetAssocCache {
         // 4 sets x 2 ways x 64B lines = 512 B
@@ -298,6 +362,78 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_line_rejected() {
         SetAssocCache::new(512, 2, 48);
+    }
+
+    /// Random line spans over a line space a few times the cache, mixing
+    /// fresh spans with exact duplicates, nested, partially overlapping
+    /// and adjacent copies of earlier ones.
+    fn random_spans(rng: &mut Xoshiro256pp, capacity: u64) -> Vec<RangeInclusive<u64>> {
+        let space = 4 * capacity;
+        let mut spans: Vec<RangeInclusive<u64>> = Vec::new();
+        for _ in 0..rng.next_range(1, 13) {
+            let fresh = |rng: &mut Xoshiro256pp| {
+                let lo = rng.next_below(space);
+                lo..=lo + rng.next_below(capacity + capacity / 2)
+            };
+            let span = match (spans.is_empty(), rng.next_below(6)) {
+                (true, _) | (false, 0) => fresh(rng),
+                (false, kind) => {
+                    let prev = spans[rng.next_below(spans.len() as u64) as usize].clone();
+                    let (lo, hi) = (*prev.start(), *prev.end());
+                    let inside = rng.next_range(lo, hi);
+                    let reach = rng.next_range(1, capacity);
+                    match kind {
+                        1 => prev,
+                        2 => inside..=rng.next_range(inside, hi),
+                        3 => inside..=hi + reach,
+                        4 => lo.saturating_sub(reach)..=inside,
+                        _ => hi + 1..=hi + reach,
+                    }
+                }
+            };
+            spans.push(span);
+        }
+        spans
+    }
+
+    #[test]
+    fn bulk_fill_matches_sequential_accesses() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0xB01C_F111);
+        for assoc in [1u32, 2, 8, 16, 20] {
+            for sets in [1u64, 4, 32] {
+                let size = sets * assoc as u64 * 64;
+                for case in 0..200 {
+                    let spans = random_spans(&mut rng, sets * assoc as u64);
+                    let mut sequential = SetAssocCache::new(size, assoc, 64);
+                    for span in &spans {
+                        for line in span.clone() {
+                            sequential.access(line);
+                        }
+                    }
+                    let mut bulk = SetAssocCache::new(size, assoc, 64);
+                    bulk.fill_from_spans(&spans);
+                    // Same lines in the same MRU-first order, set by set.
+                    assert_eq!(
+                        bulk.tags, sequential.tags,
+                        "{assoc}-way, {sets} sets, case {case}: {spans:?}"
+                    );
+                    assert_eq!((bulk.hits(), bulk.misses()), (0, 0), "counters untouched");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_fill_keeps_the_most_recent_lines_mru_first() {
+        // 1 set x 2 ways: of 0,1,2,3 then 1,2 again, the last two
+        // distinct lines touched are 2 (MRU) then 1.
+        let mut c = SetAssocCache::new(128, 2, 64);
+        c.fill_from_spans(&[0..=3, 1..=2]);
+        assert_eq!(c.tags, [2, 1]);
+        // An empty span list leaves the cache empty.
+        let mut c = small();
+        c.fill_from_spans(&[]);
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -597,18 +597,16 @@ impl<'p, S: Sink> Engine<'p, S> {
     }
 
     /// Exact task-latency percentiles over every completed task.
-    fn latency_percentiles(&self) -> LatencyPercentiles {
+    /// Reorders the recorded latencies.
+    fn latency_percentiles(&mut self) -> LatencyPercentiles {
         if self.latencies.is_empty() {
             return LatencyPercentiles::default();
         }
-        let mut sorted: Vec<f64> = self.latencies.iter().map(|&d| d as f64).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        LatencyPercentiles {
-            count: sorted.len() as u64,
-            p50: taskpoint_stats::percentile::percentile_sorted(&sorted, 50.0),
-            p99: taskpoint_stats::percentile::percentile_sorted(&sorted, 99.0),
-            p999: taskpoint_stats::percentile::percentile_sorted(&sorted, 99.9),
-        }
+        let [p50, p99, p999] = taskpoint_stats::percentile::select_percentiles(
+            &mut self.latencies,
+            [50.0, 99.0, 99.9],
+        );
+        LatencyPercentiles { count: self.latencies.len() as u64, p50, p99, p999 }
     }
 
     /// Emits the end-of-run counter snapshot: memory-system totals,
@@ -669,13 +667,14 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     // thousands of instances, and re-touching resident lines would spend
     // the entire prewarm budget on LRU churn.
     let mut seen = std::collections::HashSet::new();
-    let mut regions = Vec::new();
+    let line_shift = line_size.trailing_zeros();
+    let mut spans = Vec::new();
     // Reverse creation order: the "most recently initialized" data (what an
     // init phase leaves resident) wins the capacity race.
     for inst in program.instances().iter().rev() {
         for region in [inst.trace().footprint(), inst.trace().shared()] {
             if !region.is_empty() && seen.insert((region.base, region.len)) {
-                regions.push(region);
+                spans.push(region.base >> line_shift..=(region.end() - 1) >> line_shift);
             }
         }
     }
@@ -684,26 +683,13 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     // a fast (resident) and a slow (DRAM) class that does not exist in
     // reality — real init leaves *every* task's data equally (non-)resident.
     // When the data does not fit, nothing is prewarmed and every instance
-    // pays the same DRAM first-touch costs.
-    let total_lines: u64 = regions
-        .iter()
-        .map(|r| {
-            let first = r.base >> line_size.trailing_zeros();
-            let last = (r.end() - 1) >> line_size.trailing_zeros();
-            last - first + 1
-        })
-        .sum();
+    // pays the same DRAM first-touch costs. (Overlapping distinct regions
+    // count twice here.)
+    let total_lines: u64 = spans.iter().map(|s| s.end() - s.start() + 1).sum();
     if total_lines > capacity as u64 {
         return;
     }
-    for region in regions {
-        let first = region.base >> line_size.trailing_zeros();
-        let last = (region.end() - 1) >> line_size.trailing_zeros();
-        for line in first..=last {
-            mem.prewarm_line(line);
-        }
-    }
-    mem.reset_stats();
+    mem.prewarm(&spans);
 }
 
 /// Per-run counters.

@@ -23,6 +23,8 @@
 //!   write-back caches with free writebacks) — they would add a roughly
 //!   workload-independent bandwidth term.
 
+use std::ops::RangeInclusive;
+
 use crate::cache::{AccessOutcome, SetAssocCache};
 use crate::config::MachineConfig;
 use serde::{Deserialize, Serialize};
@@ -340,41 +342,19 @@ impl MemorySystem {
         addr >> self.line_shift
     }
 
-    /// Installs `line` in every shared level without cost — used to model
-    /// application data that was initialized before the simulated region of
-    /// interest (trace-driven simulators start with the OS/init phase
-    /// already executed, so main memory structures are LLC-warm). Private
-    /// levels stay cold; TaskPoint's warmup exists to heat those.
+    /// Fills every shared level without cost with the lines of `spans`
+    /// (inclusive line ranges), as if they were accessed span by span in
+    /// order — used to model application data that was initialized before
+    /// the simulated region of interest (trace-driven simulators start
+    /// with the OS/init phase already executed, so main memory structures
+    /// are LLC-warm). Private levels stay cold; TaskPoint's warmup exists
+    /// to heat those. Hit/miss counters are not touched.
     ///
-    /// Returns `true` if the line was newly installed in the last shared
-    /// level (false if it was already present), so callers can budget by
-    /// distinct lines.
-    pub fn prewarm_line(&mut self, line: u64) -> bool {
-        let mut newly = false;
+    /// The memory system must be freshly built.
+    pub fn prewarm(&mut self, spans: &[RangeInclusive<u64>]) {
         for (cache, _) in &mut self.shared {
-            newly = cache.access(line) == AccessOutcome::Miss;
+            cache.fill_from_spans(spans);
         }
-        newly
-    }
-
-    /// Clears statistics counters while keeping contents (used after
-    /// prewarming so reported hit/miss numbers only cover the measured
-    /// region).
-    pub fn reset_stats(&mut self) {
-        for (c, _) in &mut self.shared {
-            c.reset_counters();
-        }
-        for caches in &mut self.private {
-            for c in caches.iter_mut() {
-                c.reset_counters();
-            }
-        }
-        self.invalidations = 0;
-        self.dram_accesses = 0;
-        self.prefetches = 0;
-        self.queue_delay_cycles = 0;
-        self.contended_accesses = 0;
-        self.access_latency = Histogram::new();
     }
 
     /// Total capacity of the last shared level in lines (0 when none).

@@ -43,20 +43,54 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
 ///
 /// Panics if `p` is outside `0.0..=100.0`. An empty slice panics via index.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (n - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = ranks(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
+}
+
+/// The two closest ranks of the `p`-th percentile of `n` sorted samples
+/// and the interpolation weight of the upper one.
+fn ranks(n: usize, p: f64) -> (usize, usize, f64) {
+    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// The `ps`-th percentiles of integer `samples`, equal bit for bit to
+/// [`percentile_sorted`] over the samples sorted as `f64`, found by
+/// selection rather than a full sort: only the (at most two per
+/// percentile) ranks the interpolation reads are put in place. Reorders
+/// `samples`.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or any `p` is outside `0.0..=100.0`.
+pub fn select_percentiles<const N: usize>(samples: &mut [u64], ps: [f64; N]) -> [f64; N] {
+    assert!(!samples.is_empty(), "percentile of no samples");
+    let bounds = ps.map(|p| ranks(samples.len(), p));
+    let mut wanted: Vec<usize> = bounds.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    // Ascending ranks: each selection leaves everything above its rank
+    // (and nothing below) in the tail the next one searches.
+    let mut done = 0;
+    for rank in wanted {
+        samples[done..].select_nth_unstable(rank - done);
+        done = rank + 1;
+    }
+    // `u64 -> f64` preserves order, so these are the sorted-`f64` values.
+    bounds.map(|(lo, hi, frac)| {
+        let (a, b) = (samples[lo] as f64, samples[hi] as f64);
+        if lo == hi {
+            a
+        } else {
+            a * (1.0 - frac) + b * frac
+        }
+    })
 }
 
 /// The five-number boxplot summary used by the paper's variation figures,
@@ -131,6 +165,25 @@ impl BoxplotStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn selected_percentiles_equal_sorted_ones() {
+        let ps = [0.0, 5.0, 25.0, 50.0, 99.0, 99.9, 100.0];
+        let mut rng = crate::rng::Xoshiro256pp::seed_from_u64(99);
+        let mut inputs: Vec<Vec<u64>> = vec![vec![7], vec![3, 9], vec![9, 3], vec![5; 40]];
+        for n in [3usize, 10, 101, 1000, 19_600] {
+            // Wide random values, then heavily tied ones.
+            inputs.push((0..n).map(|_| rng.next_u64() >> rng.next_below(64)).collect());
+            inputs.push((0..n).map(|_| rng.next_below(4)).collect());
+        }
+        for samples in inputs {
+            let mut sorted: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let want = ps.map(|p| percentile_sorted(&sorted, p).to_bits());
+            let got = select_percentiles(&mut samples.clone(), ps).map(f64::to_bits);
+            assert_eq!(got, want, "n = {}", samples.len());
+        }
+    }
 
     #[test]
     fn percentile_of_empty_is_none() {
