@@ -12,9 +12,7 @@
 //! injective across distinct pairs, the invariants the workspace property
 //! tests pin down.
 
-use std::collections::HashMap;
-
-use taskpoint_runtime::TaskTypeId;
+use taskpoint_runtime::{TaskTypeId, TypeMap};
 
 /// The concurrency band of an observed machine concurrency level: the
 /// log₂ bucket of the number of simultaneously running tasks, so a
@@ -31,8 +29,14 @@ pub struct ClusterMap {
     /// log2 granularity: instances whose instruction counts fall in the
     /// same `[2^(g*k), 2^(g*(k+1)))` band share a class.
     granularity: u32,
-    virtual_ids: HashMap<(u32, u32), u32>,
+    /// Per type, the virtual id of each size class (`UNASSIGNED` until
+    /// first seen). Size classes are small and dense, like type ids.
+    virtual_ids: TypeMap<Vec<u32>>,
+    num_clusters: u32,
 }
+
+/// Marks a `(type, size-class)` pair no instance has mapped to yet.
+const UNASSIGNED: u32 = u32::MAX;
 
 impl ClusterMap {
     /// Creates a map. `granularity` is the width of a size class in
@@ -44,7 +48,7 @@ impl ClusterMap {
     /// Panics if `granularity == 0`.
     pub fn new(granularity: u32) -> Self {
         assert!(granularity > 0, "granularity must be positive");
-        Self { granularity, virtual_ids: HashMap::new() }
+        Self { granularity, virtual_ids: TypeMap::new(), num_clusters: 0 }
     }
 
     /// The configured size-class width in powers of two.
@@ -63,14 +67,21 @@ impl ClusterMap {
     /// assigned to its `(type, size-class)` pair, handed out in
     /// first-encounter order.
     pub fn unit(&mut self, type_id: TaskTypeId, instructions: u64) -> TaskTypeId {
-        let class = self.size_class(instructions);
-        let next = self.virtual_ids.len() as u32;
-        TaskTypeId(*self.virtual_ids.entry((type_id.0, class)).or_insert(next))
+        let class = self.size_class(instructions) as usize;
+        let classes = self.virtual_ids.get_or_insert_with(type_id, Vec::new);
+        if class >= classes.len() {
+            classes.resize(class + 1, UNASSIGNED);
+        }
+        if classes[class] == UNASSIGNED {
+            classes[class] = self.num_clusters;
+            self.num_clusters += 1;
+        }
+        TaskTypeId(classes[class])
     }
 
     /// Number of distinct `(type, size-class)` sampling units seen.
     pub fn num_clusters(&self) -> usize {
-        self.virtual_ids.len()
+        self.num_clusters as usize
     }
 }
 

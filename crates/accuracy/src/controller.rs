@@ -36,9 +36,9 @@
 //! by the rare-cluster cutoff stay closed: their estimate is too thin
 //! for a per-band test to be meaningful.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use taskpoint_runtime::TaskTypeId;
+use taskpoint_runtime::TypeMap;
 use taskpoint_stats::{Confidence, StreamingMoments};
 use taskpoint_telemetry::{FidelityAction, SimEvent, Sink, Telemetry};
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
@@ -55,10 +55,13 @@ pub(crate) struct ClusterState {
     /// Every detailed sample including warmup — the fallback estimate.
     pub(crate) all: StreamingMoments,
     /// Valid samples split by the log₂ concurrency band observed at
-    /// completion — updated in exact lockstep with `valid`.
-    pub(crate) bands: HashMap<u32, StreamingMoments>,
-    /// Bands that already triggered a re-open (at most one per band).
-    pub(crate) reopened_bands: HashSet<u32>,
+    /// completion, indexed by band — updated in exact lockstep with
+    /// `valid`. An empty entry is a band with no sample (see
+    /// [`band`](Self::band)).
+    bands: Vec<StreamingMoments>,
+    /// Bands that already triggered a re-open (at most one per band), as
+    /// a bitmask: bit `b` is band `b` (bands are `0..32`).
+    reopened_bands: u32,
     /// The band whose unmet CI re-opened the cluster; re-convergence
     /// additionally requires this band's moments to meet the target.
     pub(crate) pending_band: Option<u32>,
@@ -86,28 +89,40 @@ impl ClusterState {
     pub(crate) fn add_valid(&mut self, ipc: f64, concurrency: u32) {
         self.valid.add(ipc);
         self.all.add(ipc);
-        self.bands.entry(concurrency_band(concurrency)).or_default().add(ipc);
+        let band = concurrency_band(concurrency) as usize;
+        if band >= self.bands.len() {
+            self.bands.resize_with(band + 1, StreamingMoments::default);
+        }
+        self.bands[band].add(ipc);
+    }
+
+    /// The valid moments of `band`, or `None` if it has no sample yet.
+    pub(crate) fn band(&self, band: u32) -> Option<&StreamingMoments> {
+        self.bands.get(band as usize).filter(|m| !m.is_empty())
+    }
+
+    /// Whether `band` already re-opened this cluster.
+    pub(crate) fn reopened(&self, band: u32) -> bool {
+        self.reopened_bands & (1 << band) != 0
+    }
+
+    /// Records that `band` re-opened this cluster.
+    pub(crate) fn mark_reopened(&mut self, band: u32) {
+        self.reopened_bands |= 1 << band;
     }
 
     /// The end-of-run accuracy row of this cluster.
     pub(crate) fn accuracy(&self, unit: u32, confidence: Confidence) -> ClusterAccuracy {
-        let mut band_ids: Vec<u32> = self.bands.keys().copied().collect();
-        for &b in &self.reopened_bands {
-            if !self.bands.contains_key(&b) {
-                band_ids.push(b);
-            }
-        }
-        band_ids.sort_unstable();
-        let bands = band_ids
-            .iter()
-            .map(|&band| {
-                let m = self.bands.get(&band).copied().unwrap_or_default();
+        let bands = (0..u32::BITS)
+            .filter(|&band| self.band(band).is_some() || self.reopened(band))
+            .map(|band| {
+                let m = self.band(band).copied().unwrap_or_default();
                 BandAccuracy {
                     band,
                     samples: m.count(),
                     mean_ipc: if m.is_empty() { 0.0 } else { m.mean() },
                     rel_ci: relative_ci_half_width(&m, confidence),
-                    reopened: self.reopened_bands.contains(&band),
+                    reopened: self.reopened(band),
                 }
             })
             .collect();
@@ -264,7 +279,7 @@ impl AccuracyReport {
 #[derive(Debug)]
 pub struct AdaptiveController {
     config: AdaptiveConfig,
-    clusters: HashMap<TaskTypeId, ClusterState>,
+    clusters: TypeMap<ClusterState>,
     /// Detailed completions per worker during initial warmup.
     warmup_done: Vec<u64>,
     /// Completions per worker since one last touched an unconverged
@@ -292,7 +307,7 @@ impl AdaptiveController {
         Self {
             warmup_complete: config.warmup_instances == 0,
             config,
-            clusters: HashMap::new(),
+            clusters: TypeMap::new(),
             warmup_done: Vec::new(),
             since_unconverged: Vec::new(),
             workers_known: false,
@@ -327,12 +342,11 @@ impl AdaptiveController {
 
     /// The per-cluster accuracy picture at this point of the run.
     pub fn report(&self) -> AccuracyReport {
-        let mut clusters: Vec<ClusterAccuracy> = self
+        let clusters: Vec<ClusterAccuracy> = self
             .clusters
             .iter()
             .map(|(unit, st)| st.accuracy(unit.0, self.config.params.confidence))
             .collect();
-        clusters.sort_by_key(|c| c.unit);
         AccuracyReport { config: PolicyConfig::Adaptive(self.config), clusters, allocated: None }
     }
 
@@ -362,15 +376,10 @@ impl AdaptiveController {
         self.since_unconverged.iter().all(|&c| c >= self.config.rare_cluster_cutoff)
     }
 
-    /// Force-converges every cluster that has any estimate at all.
-    /// Clusters are visited in unit-id order so the emitted telemetry is
-    /// independent of hash-map iteration order (the per-cluster updates
-    /// commute, so the order is otherwise unobservable).
+    /// Force-converges every cluster that has any estimate at all, in
+    /// unit-id order (the order of the emitted telemetry).
     fn force_converge_rare(&mut self, now: u64) {
-        let mut units: Vec<TaskTypeId> = self.clusters.keys().copied().collect();
-        units.sort_unstable();
-        for unit in units {
-            let st = self.clusters.get_mut(&unit).expect("listed cluster exists");
+        for (unit, st) in self.clusters.iter_mut() {
             if !st.converged && st.ipc().is_some() {
                 st.converged = true;
                 st.forced = true;
@@ -400,7 +409,7 @@ impl AdaptiveController {
 impl ModeController for AdaptiveController {
     fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
         self.ensure_workers(start.total_workers);
-        let state = self.clusters.entry(start.type_id).or_default();
+        let state = self.clusters.get_or_insert_with(start.type_id, ClusterState::default);
         state.seen += 1;
         if state.seen == 1 {
             self.telemetry.event(SimEvent::Fidelity {
@@ -422,21 +431,20 @@ impl ModeController for AdaptiveController {
             if !state.forced {
                 let band = concurrency_band(start.concurrency);
                 let band_met =
-                    state.bands.get(&band).is_some_and(|m| ci_target_met(m, &self.config.params));
-                if !band_met && !state.reopened_bands.contains(&band) {
-                    state.reopened_bands.insert(band);
+                    state.band(band).is_some_and(|m| ci_target_met(m, &self.config.params));
+                if !band_met && !state.reopened(band) {
+                    state.mark_reopened(band);
                     state.pending_band = Some(band);
                     state.converged = false;
                     self.stats.reopened += 1;
                     let band_ci = state
-                        .bands
-                        .get(&band)
+                        .band(band)
                         .and_then(|m| relative_ci_half_width(m, self.config.params.confidence));
                     self.telemetry.event(SimEvent::Fidelity {
                         tick: start.time,
                         unit: start.type_id.0,
                         action: FidelityAction::ClusterReopened,
-                        samples: state.bands.get(&band).map_or(0, StreamingMoments::count),
+                        samples: state.band(band).map_or(0, StreamingMoments::count),
                         rel_ci: band_ci,
                     });
                     return ExecMode::Detailed;
@@ -470,7 +478,7 @@ impl ModeController for AdaptiveController {
                     if usable {
                         let state = self
                             .clusters
-                            .get_mut(&report.type_id)
+                            .get_mut(report.type_id)
                             .expect("completed task of unregistered cluster");
                         state.all.add(ipc);
                     }
@@ -482,7 +490,7 @@ impl ModeController for AdaptiveController {
                 }
                 let state = self
                     .clusters
-                    .get_mut(&report.type_id)
+                    .get_mut(report.type_id)
                     .expect("completed task of unregistered cluster");
                 if state.converged {
                     // A straggler that started detailed before its cluster
@@ -509,10 +517,9 @@ impl ModeController for AdaptiveController {
                         // on its own samples.
                         let band_ok = match state.pending_band {
                             None => true,
-                            Some(b) => state
-                                .bands
-                                .get(&b)
-                                .is_some_and(|m| ci_target_met(m, &self.config.params)),
+                            Some(b) => {
+                                state.band(b).is_some_and(|m| ci_target_met(m, &self.config.params))
+                            }
                         };
                         if band_ok && ci_target_met(&state.valid, &self.config.params) {
                             state.converged = true;
@@ -597,7 +604,7 @@ impl ModeController for ClusteredAdaptiveController {
 mod tests {
     use super::*;
     use crate::config::AdaptiveParams;
-    use taskpoint_runtime::{TaskInstanceId, WorkerId};
+    use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
     fn start(task: u64, type_id: u32, worker: u32, time: u64) -> TaskStart {
         TaskStart {

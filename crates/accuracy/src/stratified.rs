@@ -307,16 +307,15 @@ impl ModeController for StratifiedController {
                 let band = concurrency_band(start.concurrency);
                 let band_met = st
                     .inner
-                    .bands
-                    .get(&band)
+                    .band(band)
                     .and_then(|m| relative_ci_half_width(m, self.config.confidence))
                     .is_some_and(|ci| ci <= target);
-                if !band_met && !st.inner.reopened_bands.contains(&band) {
-                    st.inner.reopened_bands.insert(band);
+                if !band_met && !st.inner.reopened(band) {
+                    st.inner.mark_reopened(band);
                     st.inner.converged = false;
                     st.reopen_left = self.config.pilot_samples;
                     self.stats.reopened += 1;
-                    let band_moments = st.inner.bands.get(&band);
+                    let band_moments = st.inner.band(band);
                     self.telemetry.event(SimEvent::Fidelity {
                         tick: start.time,
                         unit,

@@ -31,7 +31,7 @@ use taskpoint::{run_reference, TaskPointConfig};
 use taskpoint_bench::{Harness, RunScale};
 use taskpoint_campaign::json::{Object, Value};
 use taskpoint_workloads::Benchmark;
-use tasksim::MachineConfig;
+use tasksim::{MachineConfig, MAX_WORKERS};
 
 struct ProbeArgs {
     bench: Benchmark,
@@ -89,10 +89,10 @@ fn parse_args() -> ProbeArgs {
                             std::process::exit(2);
                         }
                     },
-                    1 => match other.parse::<u32>() {
-                        Ok(w) if w > 0 => parsed.workers = w,
-                        _ => {
-                            eprintln!("error: WORKERS needs a positive integer, got {other:?}");
+                    1 => match parse_workers(other) {
+                        Ok(w) => parsed.workers = w,
+                        Err(e) => {
+                            eprintln!("error: {e}");
                             std::process::exit(2);
                         }
                     },
@@ -111,6 +111,14 @@ fn parse_args() -> ProbeArgs {
         i += 1;
     }
     parsed
+}
+
+/// Parses the WORKERS argument: an integer in `1..=MAX_WORKERS`.
+fn parse_workers(arg: &str) -> Result<u32, String> {
+    match arg.parse::<u32>() {
+        Ok(w) if (1..=MAX_WORKERS).contains(&w) => Ok(w),
+        _ => Err(format!("WORKERS needs an integer in 1..={MAX_WORKERS}, got {arg:?}")),
+    }
 }
 
 /// `(min, median, max)` of a non-empty throughput sample.
@@ -285,6 +293,26 @@ fn main() {
                 eprintln!("error: cannot write {path}: {e}");
                 std::process::exit(1);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    #[test]
+    fn workers_accepts_one_through_sixty_four() {
+        assert_eq!(parse_workers("1"), Ok(1));
+        assert_eq!(parse_workers("8"), Ok(8));
+        assert_eq!(parse_workers("64"), Ok(64));
+    }
+
+    #[test]
+    fn workers_rejects_zero_overflow_and_garbage() {
+        for bad in ["0", "65", "4294967296", "-1", "eight", ""] {
+            let err = parse_workers(bad).expect_err(bad);
+            assert!(err.contains("1..=64"), "{bad:?}: {err}");
         }
     }
 }

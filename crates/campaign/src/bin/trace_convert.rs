@@ -29,7 +29,7 @@ use taskpoint::{
 use taskpoint_runtime::program_from_ingested;
 use taskpoint_trace::IngestedTrace;
 use taskpoint_workloads::external::{synthesize, ExternalWorkload};
-use tasksim::{MachineConfig, RecordedTraces};
+use tasksim::{MachineConfig, RecordedTraces, MAX_WORKERS};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -49,6 +49,31 @@ fn usage() -> ExitCode {
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::FAILURE
+}
+
+/// Reports a bad command-line value: the `error:` line and exit status 2,
+/// like every other usage error.
+fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+/// The value of the count flag `--name`: `default` when absent, else an
+/// integer in `1..=max`.
+fn count_flag(
+    flags: &[(String, String)],
+    name: &str,
+    default: u32,
+    max: u32,
+) -> Result<u32, String> {
+    match flags.iter().find(|(f, _)| f == name) {
+        None => Ok(default),
+        Some((_, v)) => match v.parse::<u32>() {
+            Ok(n) if (1..=max).contains(&n) => Ok(n),
+            _ if max == u32::MAX => Err(format!("--{name} needs a positive integer, got {v:?}")),
+            _ => Err(format!("--{name} needs an integer in 1..={max}, got {v:?}")),
+        },
+    }
 }
 
 fn load(path: &Path) -> Result<IngestedTrace, String> {
@@ -166,16 +191,13 @@ fn cmd_convert(path: &Path, flags: &[(String, String)]) -> ExitCode {
 }
 
 fn cmd_simulate(path: &Path, flags: &[(String, String)]) -> ExitCode {
+    let workers = match count_flag(flags, "workers", 2, MAX_WORKERS) {
+        Ok(n) => n,
+        Err(e) => return usage_error(e),
+    };
     let trace = match load(path) {
         Ok(t) => t,
         Err(e) => return fail(e),
-    };
-    let workers = match flags.iter().find(|(f, _)| f == "workers") {
-        None => 2,
-        Some((_, v)) => match v.parse::<u32>() {
-            Ok(n) if n > 0 => n,
-            _ => return fail(format!("--workers needs a positive integer, got {v:?}")),
-        },
     };
     print_stats(&trace);
     let program = program_from_ingested("ingested", &trace);
@@ -206,26 +228,17 @@ fn cmd_simulate(path: &Path, flags: &[(String, String)]) -> ExitCode {
 /// exports the Chrome trace-event JSON and the `*.tptrace` timeline, and
 /// proves the export round-trips by re-parsing it through the ingest path.
 fn cmd_timeline(path: &Path, flags: &[(String, String)]) -> ExitCode {
+    let workers = match count_flag(flags, "workers", 2, MAX_WORKERS) {
+        Ok(n) => n,
+        Err(e) => return usage_error(e),
+    };
+    let width = match count_flag(flags, "width", 100, u32::MAX) {
+        Ok(n) => n,
+        Err(e) => return usage_error(e),
+    };
     let trace = match load(path) {
         Ok(t) => t,
         Err(e) => return fail(e),
-    };
-    let parse_num = |name: &str, default: u32| -> Result<u32, ExitCode> {
-        match flags.iter().find(|(f, _)| f == name) {
-            None => Ok(default),
-            Some((_, v)) => match v.parse::<u32>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(fail(format!("--{name} needs a positive integer, got {v:?}"))),
-            },
-        }
-    };
-    let workers = match parse_num("workers", 2) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let width = match parse_num("width", 100) {
-        Ok(n) => n,
-        Err(code) => return code,
     };
     let program = program_from_ingested("ingested", &trace);
     let bundle = RecordedTraces::from_ingested(&trace);
@@ -387,5 +400,43 @@ fn main() -> ExitCode {
             Err(code) => code,
         },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::count_flag;
+
+    fn flags(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs.iter().map(|(f, v)| (f.to_string(), v.to_string())).collect()
+    }
+
+    #[test]
+    fn workers_flag_defaults_and_accepts_one_through_sixty_four() {
+        assert_eq!(count_flag(&flags(&[]), "workers", 2, 64), Ok(2));
+        for ok in [1, 8, 64] {
+            let f = flags(&[("workers", &ok.to_string())]);
+            assert_eq!(count_flag(&f, "workers", 2, 64), Ok(ok));
+        }
+    }
+
+    #[test]
+    fn workers_flag_rejects_zero_overflow_and_garbage() {
+        for bad in ["0", "65", "4294967296", "-3", "two", ""] {
+            let f = flags(&[("workers", bad)]);
+            let err = count_flag(&f, "workers", 2, 64).expect_err(bad);
+            assert_eq!(err, format!("--workers needs an integer in 1..=64, got {bad:?}"));
+        }
+    }
+
+    #[test]
+    fn unbounded_flag_only_needs_a_positive_integer() {
+        let f = flags(&[("width", "100000")]);
+        assert_eq!(count_flag(&f, "width", 100, u32::MAX), Ok(100_000));
+        let f = flags(&[("width", "0")]);
+        assert_eq!(
+            count_flag(&f, "width", 100, u32::MAX),
+            Err("--width needs a positive integer, got \"0\"".to_string())
+        );
     }
 }

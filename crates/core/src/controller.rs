@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use taskpoint_runtime::TaskTypeId;
+use taskpoint_runtime::TypeMap;
 use tasksim::{ExecMode, ModeController, SimMode, TaskReport, TaskStart};
 
 use crate::config::{SamplingPolicy, TaskPointConfig};
@@ -90,7 +90,7 @@ impl SamplingStats {
 pub struct TaskPointController {
     config: TaskPointConfig,
     phase: Phase,
-    types: HashMap<TaskTypeId, TypeHistories>,
+    types: TypeMap<TypeHistories>,
     /// Detailed completions per worker since the current warmup began.
     warmup_done: Vec<u64>,
     warmup_target: u64,
@@ -135,7 +135,7 @@ impl TaskPointController {
         let mut controller = Self {
             config,
             phase: Phase::InitialWarmup,
-            types: HashMap::new(),
+            types: TypeMap::new(),
             warmup_done: Vec::new(),
             warmup_target,
             since_unfilled: Vec::new(),
@@ -236,8 +236,8 @@ impl ModeController for TaskPointController {
     fn mode_for_task(&mut self, start: &TaskStart) -> ExecMode {
         self.ensure_workers(start.total_workers);
         let h = self.config.history_size;
-        let is_new_type = !self.types.contains_key(&start.type_id);
-        let histories = self.types.entry(start.type_id).or_insert_with(|| TypeHistories::new(h));
+        let is_new_type = !self.types.contains(start.type_id);
+        let histories = self.types.get_or_insert_with(start.type_id, || TypeHistories::new(h));
         histories.seen += 1;
 
         // Track the smoothed concurrency level at every task start.
@@ -266,7 +266,7 @@ impl ModeController for TaskPointController {
             self.resample(start.time, ResampleCause::ConcurrencyChange);
             return ExecMode::Detailed;
         }
-        let Some(ipc) = self.types[&start.type_id].fast_forward_ipc() else {
+        let Some(ipc) = self.types[start.type_id].fast_forward_ipc() else {
             self.resample(start.time, ResampleCause::EmptyHistories);
             return ExecMode::Detailed;
         };
@@ -297,7 +297,7 @@ impl ModeController for TaskPointController {
                 };
                 let histories = self
                     .types
-                    .get_mut(&report.type_id)
+                    .get_mut(report.type_id)
                     .expect("completed task of unregistered type");
                 histories.all.push(ipc);
                 let w = report.worker.index();
@@ -338,7 +338,7 @@ impl ModeController for TaskPointController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskpoint_runtime::{TaskInstanceId, WorkerId};
+    use taskpoint_runtime::{TaskInstanceId, TaskTypeId, WorkerId};
 
     fn start(
         task: u64,
@@ -532,12 +532,12 @@ mod tests {
     fn valid_histories_cleared_on_resample() {
         let mut ctrl = TaskPointController::new(TaskPointConfig::lazy());
         drive_to_fast(&mut ctrl);
-        assert!(ctrl.types[&TaskTypeId(0)].valid.is_full());
+        assert!(ctrl.types[TaskTypeId(0)].valid.is_full());
         let s = start(500, 1, 0, 50_000, 1, 1);
         ctrl.mode_for_task(&s);
-        assert!(ctrl.types[&TaskTypeId(0)].valid.is_empty());
+        assert!(ctrl.types[TaskTypeId(0)].valid.is_empty());
         assert!(
-            !ctrl.types[&TaskTypeId(0)].all.is_empty(),
+            !ctrl.types[TaskTypeId(0)].all.is_empty(),
             "all-samples history survives resampling"
         );
     }

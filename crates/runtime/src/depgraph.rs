@@ -219,19 +219,24 @@ impl ReadySet {
         self.pending == 0
     }
 
-    /// Marks `id` complete and returns the successors that became ready,
-    /// in creation order.
+    /// Marks `id` complete and appends the successors that became ready,
+    /// in creation order, to `newly_ready` (a caller-owned buffer, so a
+    /// completion allocates nothing once the buffer has grown).
     ///
     /// # Panics
     ///
     /// Panics if `id` completes twice or completes while predecessors are
     /// still outstanding (both indicate a scheduler bug).
-    pub fn complete(&mut self, graph: &DependenceGraph, id: TaskInstanceId) -> Vec<TaskInstanceId> {
+    pub fn complete(
+        &mut self,
+        graph: &DependenceGraph,
+        id: TaskInstanceId,
+        newly_ready: &mut Vec<TaskInstanceId>,
+    ) {
         assert!(!self.completed[id.index()], "task {id} completed twice");
         assert_eq!(self.remaining[id.index()], 0, "task {id} completed before its inputs");
         self.completed[id.index()] = true;
         self.pending -= 1;
-        let mut newly_ready = Vec::new();
         for &s in graph.successors(id) {
             let r = &mut self.remaining[s.index()];
             *r -= 1;
@@ -239,7 +244,6 @@ impl ReadySet {
                 newly_ready.push(s);
             }
         }
-        newly_ready
     }
 }
 
@@ -351,12 +355,17 @@ mod tests {
         assert_eq!(g.roots(), vec![TaskInstanceId(0)]);
         assert!(rs.is_ready(TaskInstanceId(0)));
         assert!(!rs.is_ready(TaskInstanceId(3)));
-        let ready = rs.complete(&g, TaskInstanceId(0));
+        let mut ready = Vec::new();
+        rs.complete(&g, TaskInstanceId(0), &mut ready);
         assert_eq!(ready, vec![TaskInstanceId(1), TaskInstanceId(2)]);
-        assert!(rs.complete(&g, TaskInstanceId(1)).is_empty());
-        assert_eq!(rs.complete(&g, TaskInstanceId(2)), vec![TaskInstanceId(3)]);
+        rs.complete(&g, TaskInstanceId(1), &mut ready);
+        assert_eq!(ready.len(), 2, "task 1 alone readies nothing");
+        rs.complete(&g, TaskInstanceId(2), &mut ready);
+        assert_eq!(ready, vec![TaskInstanceId(1), TaskInstanceId(2), TaskInstanceId(3)]);
         assert_eq!(rs.pending(), 1);
-        assert!(rs.complete(&g, TaskInstanceId(3)).is_empty());
+        ready.clear();
+        rs.complete(&g, TaskInstanceId(3), &mut ready);
+        assert!(ready.is_empty());
         assert!(rs.all_done());
     }
 
@@ -365,8 +374,8 @@ mod tests {
     fn double_completion_panics() {
         let g = graph(&[vec![]]);
         let mut rs = g.ready_set();
-        rs.complete(&g, TaskInstanceId(0));
-        rs.complete(&g, TaskInstanceId(0));
+        rs.complete(&g, TaskInstanceId(0), &mut Vec::new());
+        rs.complete(&g, TaskInstanceId(0), &mut Vec::new());
     }
 
     #[test]
@@ -375,7 +384,7 @@ mod tests {
         let g =
             graph(&[vec![RegionAccess::output(region(1))], vec![RegionAccess::input(region(1))]]);
         let mut rs = g.ready_set();
-        rs.complete(&g, TaskInstanceId(1));
+        rs.complete(&g, TaskInstanceId(1), &mut Vec::new());
     }
 
     #[test]

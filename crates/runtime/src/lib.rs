@@ -52,4 +52,4 @@ pub use regions::{AccessMode, RegionAccess};
 pub use scheduler::{
     FifoScheduler, LifoScheduler, LocalityScheduler, Scheduler, SizeTieredScheduler, WorkerId,
 };
-pub use task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId};
+pub use task::{TaskInstance, TaskInstanceId, TaskType, TaskTypeId, TypeMap};

@@ -7,7 +7,7 @@
 //! clever structure.
 
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use serde::{Deserialize, Serialize};
 
@@ -24,6 +24,47 @@ pub enum AccessOutcome {
 /// addresses are byte addresses shifted right by the line bits, so hitting
 /// `u64::MAX` would require an address far beyond the 64-bit space.
 const EMPTY: u64 = u64::MAX;
+
+/// Tag bytes one window of [`SetAssocCache::fill_from_spans`] writes:
+/// small enough to stay in a host core's L2 (1,024 sets of a 20-way
+/// cache).
+const FILL_WINDOW_BYTES: usize = 160 * 1024;
+
+/// The lines that walking `spans` last to first, each span high to low,
+/// offers for the first time: non-empty `lo..top` runs in offer order,
+/// each offered high to low. Parts of a span that a later span already
+/// covered are skipped, so every distinct line appears exactly once.
+fn offer_runs(spans: &[RangeInclusive<u64>]) -> Vec<Range<u64>> {
+    let mut runs = Vec::new();
+    // Union of the spans walked so far as disjoint, non-adjacent
+    // `start -> end` (inclusive) runs.
+    let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
+    for span in spans.iter().rev() {
+        let (lo, hi) = (*span.start(), *span.end());
+        // Lines `lo..top` are not offered yet; `top` drops past each
+        // covered run met walking down, and the runs touching the span
+        // merge into one.
+        let mut top = hi + 1;
+        let (mut run_lo, mut run_hi) = (lo, hi);
+        while let Some((&s, &e)) = covered.range(..=hi.saturating_add(1)).next_back() {
+            if e.saturating_add(1) < lo {
+                break;
+            }
+            covered.remove(&s);
+            if e + 1 < top {
+                runs.push(e + 1..top);
+            }
+            top = top.min(s);
+            run_lo = run_lo.min(s);
+            run_hi = run_hi.max(e);
+        }
+        if lo < top {
+            runs.push(lo..top);
+        }
+        covered.insert(run_lo, run_hi);
+    }
+    runs
+}
 
 /// A set-associative, write-allocate cache with true-LRU replacement,
 /// indexed by line address (byte address >> log2(line size)).
@@ -181,61 +222,57 @@ impl SetAssocCache {
     /// spans are walked last to first and each span's lines high to low,
     /// skipping the parts a later span already covered (those lines were
     /// offered then): every distinct line is offered once, and each set
-    /// appends lines until it is full. The walk stops once every set is
-    /// full.
+    /// appends lines until it is full.
+    ///
+    /// The fill runs in two passes. The first computes the uncovered runs
+    /// in offer order (`offer_runs`); the second writes them one window
+    /// of consecutive sets at a time, sized so a window's tags stay in a
+    /// host core's L2, instead of striding across the whole tag array once
+    /// per way. Sets are independent and every set still receives its
+    /// lines in offer order, so the result does not depend on the window.
     ///
     /// The cache must be empty (freshly built or [`reset`](Self::reset)).
     pub fn fill_from_spans(&mut self, spans: &[RangeInclusive<u64>]) {
+        let window = (FILL_WINDOW_BYTES / (self.assoc * std::mem::size_of::<u64>())).max(1);
+        self.fill_runs(&offer_runs(spans), window);
+    }
+
+    /// Appends the lines of `runs` (runs in order, each run's lines high to
+    /// low) to their sets until each set holds `assoc` lines, visiting
+    /// `window` consecutive sets at a time.
+    fn fill_runs(&mut self, runs: &[Range<u64>], window: usize) {
         debug_assert_eq!(self.occupancy(), 0, "bulk fill needs an empty cache");
-        let assoc = self.assoc as u32;
-        let set_mask = self.set_mask;
-        let tags = &mut self.tags;
-        let mut fill = vec![0u32; set_mask as usize + 1];
-        let mut open_sets = fill.len();
-        // Offers `lines` high to low; true once every set is full.
-        let mut offer = |lines: std::ops::Range<u64>| {
-            for line in lines.rev() {
-                let set = (line & set_mask) as usize;
-                let ways = fill[set];
-                if ways < assoc {
-                    tags[set * assoc as usize + ways as usize] = line;
-                    fill[set] = ways + 1;
-                    if ways + 1 == assoc {
-                        open_sets -= 1;
-                        if open_sets == 0 {
-                            return true;
+        let assoc = self.assoc;
+        let sets = self.set_mask as usize + 1;
+        let set_bits = self.set_mask.count_ones();
+        let mut fill = vec![0u32; sets];
+        for first in (0..sets).step_by(window) {
+            let last = (first + window).min(sets);
+            let mut open = last - first;
+            // Within a run, a set's lines lie one period (`sets` lines)
+            // apart; walking the periods high to low keeps each set's
+            // lines in offer order.
+            'runs: for run in runs {
+                for period in ((run.start >> set_bits)..=((run.end - 1) >> set_bits)).rev() {
+                    let base = period << set_bits;
+                    let lo = run.start.max(base + first as u64);
+                    let hi = run.end.min(base + last as u64);
+                    for line in (lo..hi).rev() {
+                        let set = (line - base) as usize;
+                        let ways = fill[set] as usize;
+                        if ways < assoc {
+                            self.tags[set * assoc + ways] = line;
+                            fill[set] += 1;
+                            if ways + 1 == assoc {
+                                open -= 1;
+                                if open == 0 {
+                                    break 'runs;
+                                }
+                            }
                         }
                     }
                 }
             }
-            false
-        };
-        // Union of the spans walked so far as disjoint, non-adjacent
-        // `start -> end` (inclusive) runs.
-        let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
-        for span in spans.iter().rev() {
-            let (lo, hi) = (*span.start(), *span.end());
-            // Lines `lo..top` are not offered yet; `top` drops past each
-            // covered run met walking down, and the runs touching the span
-            // merge into one.
-            let mut top = hi + 1;
-            let (mut run_lo, mut run_hi) = (lo, hi);
-            while let Some((&s, &e)) = covered.range(..=hi.saturating_add(1)).next_back() {
-                if e.saturating_add(1) < lo {
-                    break;
-                }
-                covered.remove(&s);
-                if e + 1 < top && offer(e + 1..top) {
-                    return;
-                }
-                top = top.min(s);
-                run_lo = run_lo.min(s);
-                run_hi = run_hi.max(e);
-            }
-            if lo < top && offer(lo..top) {
-                return;
-            }
-            covered.insert(run_lo, run_hi);
         }
     }
 
@@ -396,30 +433,74 @@ mod tests {
         spans
     }
 
+    /// Fills a fresh `assoc`-way, `sets`-set cache with `fill` and with
+    /// sequential accesses of the same random spans, `cases` times, and
+    /// asserts both leave the same tags.
+    fn check_bulk_fill(
+        rng: &mut Xoshiro256pp,
+        assoc: u32,
+        sets: u64,
+        cases: usize,
+        fill: impl Fn(&mut SetAssocCache, &[RangeInclusive<u64>]),
+        label: &str,
+    ) {
+        let size = sets * assoc as u64 * 64;
+        for case in 0..cases {
+            let spans = random_spans(rng, sets * assoc as u64);
+            let mut sequential = SetAssocCache::new(size, assoc, 64);
+            for span in &spans {
+                for line in span.clone() {
+                    sequential.access(line);
+                }
+            }
+            let mut bulk = SetAssocCache::new(size, assoc, 64);
+            fill(&mut bulk, &spans);
+            // Same lines in the same MRU-first order, set by set.
+            assert_eq!(
+                bulk.tags, sequential.tags,
+                "{assoc}-way, {sets} sets, {label}, case {case}: {spans:?}"
+            );
+            assert_eq!((bulk.hits(), bulk.misses()), (0, 0), "counters untouched");
+        }
+    }
+
     #[test]
     fn bulk_fill_matches_sequential_accesses() {
         let mut rng = Xoshiro256pp::seed_from_u64(0xB01C_F111);
         for assoc in [1u32, 2, 8, 16, 20] {
             for sets in [1u64, 4, 32] {
-                let size = sets * assoc as u64 * 64;
-                for case in 0..200 {
-                    let spans = random_spans(&mut rng, sets * assoc as u64);
-                    let mut sequential = SetAssocCache::new(size, assoc, 64);
-                    for span in &spans {
-                        for line in span.clone() {
-                            sequential.access(line);
-                        }
-                    }
-                    let mut bulk = SetAssocCache::new(size, assoc, 64);
-                    bulk.fill_from_spans(&spans);
-                    // Same lines in the same MRU-first order, set by set.
-                    assert_eq!(
-                        bulk.tags, sequential.tags,
-                        "{assoc}-way, {sets} sets, case {case}: {spans:?}"
+                check_bulk_fill(&mut rng, assoc, sets, 200, |c, s| c.fill_from_spans(s), "one");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_fill_matches_sequential_accesses_across_windows() {
+        // Windows far smaller than the set count, most not dividing it:
+        // runs cross window and set-period boundaries many times over.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x3141_F111);
+        for assoc in [1u32, 2, 8] {
+            for sets in [4u64, 32, 64] {
+                for window in [1usize, 3, 5, 8, 13] {
+                    check_bulk_fill(
+                        &mut rng,
+                        assoc,
+                        sets,
+                        40,
+                        |c, s| c.fill_runs(&offer_runs(s), window),
+                        &format!("window {window}"),
                     );
-                    assert_eq!((bulk.hits(), bulk.misses()), (0, 0), "counters untouched");
                 }
             }
+        }
+        // The production window on caches that span several windows:
+        // 20 ways give two full 1,024-set windows, 16 ways a 1,280-set
+        // window plus a partial one.
+        for (assoc, windows) in [(20u32, 2), (16, 2)] {
+            let sets = 2048u64;
+            let window = FILL_WINDOW_BYTES / (assoc as usize * 8);
+            assert_eq!((sets as usize).div_ceil(window), windows, "{assoc}-way window {window}");
+            check_bulk_fill(&mut rng, assoc, sets, 6, |c, s| c.fill_from_spans(s), "default");
         }
     }
 

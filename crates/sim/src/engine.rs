@@ -34,9 +34,13 @@
 //! instruction inside the block walk, so simulated timing is bit-identical
 //! for every block capacity (pinned by `tests/block_equivalence.rs`).
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use taskpoint_runtime::{FifoScheduler, Program, ReadySet, Scheduler, TaskInstanceId, WorkerId};
+use taskpoint_runtime::{
+    FifoScheduler, Program, ReadySet, Scheduler, TaskInstanceId, TaskTypeId, WorkerId,
+};
 use taskpoint_stats::rng::{mix_seed, Xoshiro256pp};
 use taskpoint_telemetry::{NopSink, SimEvent, Sink, Telemetry};
 use taskpoint_trace::{InstBlock, TraceSource, BLOCK_CAPACITY};
@@ -58,6 +62,10 @@ use crate::traces::{ProceduralTraces, TraceProvider};
 /// dependency draws), mixed with the trace seed so detailed replays are
 /// identical in every run and mode.
 pub(crate) const PIPELINE_RNG_SALT: u64 = 0xC0DE_0001;
+
+/// Most simulated workers a machine may have: the engine's idle set and
+/// the memory system's snoop-filter sharer mask are `u64` bitmasks.
+pub const MAX_WORKERS: u32 = 64;
 
 /// Default floor (in instructions) below which a detailed task is not worth
 /// speculating on a parallel worker: shard forking and replay validation
@@ -252,7 +260,7 @@ impl<'p> Simulation<'p> {
             ready_set: program.graph().ready_set(),
             ready_at: vec![0; program.num_instances()],
             sched: EventScheduler::new(),
-            idle: (0..num_workers).rev().collect(),
+            idle: u64::MAX >> (64 - num_workers),
             running_count: 0,
             num_workers,
             noise,
@@ -263,7 +271,9 @@ impl<'p> Simulation<'p> {
             reports: Vec::new(),
             group_stats,
             cycle_accounts,
-            latencies: Vec::new(),
+            latencies: Vec::with_capacity(program.num_instances()),
+            completions: Vec::new(),
+            newly_ready: Vec::new(),
             sink,
             completed: vec![false; program.num_instances()],
             parallel,
@@ -334,8 +344,9 @@ pub(crate) struct Engine<'p, S: Sink> {
     /// a predecessor's actual end.
     pub(crate) ready_at: Vec<u64>,
     pub(crate) sched: EventScheduler,
-    /// Idle worker ids, kept sorted descending so `pop` yields lowest id.
-    pub(crate) idle: Vec<u32>,
+    /// Idle workers as a bitmask (bit `w` set = worker `w` idle); the
+    /// lowest set bit is the next worker to assign.
+    pub(crate) idle: u64,
     pub(crate) running_count: u32,
     pub(crate) num_workers: u32,
     pub(crate) noise: Option<NoiseModel>,
@@ -353,6 +364,11 @@ pub(crate) struct Engine<'p, S: Sink> {
     /// Duration of every completed task, for exact latency percentiles
     /// (one u64 per task — always on, unlike `reports`).
     pub(crate) latencies: Vec<u64>,
+    /// Completions reported by the component being ticked, drained after
+    /// every event (reused, so completing a task allocates nothing).
+    pub(crate) completions: Vec<TaskReport>,
+    /// Successors made ready by the completion being processed (reused).
+    pub(crate) newly_ready: Vec<TaskInstanceId>,
     /// Telemetry receiver — [`NopSink`] unless the simulation was built
     /// with a recording [`Telemetry`] handle.
     pub(crate) sink: S,
@@ -370,21 +386,26 @@ impl<'p, S: Sink> Engine<'p, S> {
             // Tick the component with split borrows of the shared fabric,
             // then re-schedule it from its own next_tick — components
             // never touch the event heap directly.
-            let completions = {
-                let mut ctx =
-                    EventCtx::new(t, id, &mut self.mem, self.program, self.noise.as_ref());
-                self.components[id.index()].tick(&mut ctx);
-                ctx.into_completions()
-            };
+            let mut completions = std::mem::take(&mut self.completions);
+            let mut ctx = EventCtx::new(
+                t,
+                id,
+                &mut self.mem,
+                self.program,
+                self.noise.as_ref(),
+                &mut completions,
+            );
+            self.components[id.index()].tick(&mut ctx);
             if let Some(next) = self.components[id.index()].next_tick() {
                 self.sched.schedule(next, id);
             }
             // Completion effects run synchronously, inside this event:
             // deferring them to a same-tick follow-up event would batch
             // completions and change observable concurrency values.
-            for report in completions {
+            for report in completions.drain(..) {
                 self.complete(report, controller);
             }
+            self.completions = completions;
         }
     }
 
@@ -436,13 +457,13 @@ impl<'p, S: Sink> Engine<'p, S> {
             let r = &mut self.ready_at[succ.index()];
             *r = (*r).max(report.end);
         }
-        let newly = self.ready_set.complete(self.program.graph(), report.task);
-        for t in newly {
+        self.newly_ready.clear();
+        self.ready_set.complete(self.program.graph(), report.task, &mut self.newly_ready);
+        for &t in &self.newly_ready {
             self.scheduler.task_ready(t);
         }
         self.components[w as usize].local_time = report.end;
-        self.idle.push(w);
-        self.idle.sort_unstable_by(|a, b| b.cmp(a));
+        self.idle |= 1 << w;
         self.assign_ready_tasks(controller, report.end);
     }
 
@@ -450,19 +471,18 @@ impl<'p, S: Sink> Engine<'p, S> {
     /// no earlier than `now`.
     fn assign_ready_tasks<C: ModeController>(&mut self, controller: &mut C, now: u64) {
         let prev_running = self.running_count;
-        while self.scheduler.ready_count() > 0 {
-            let Some(w) = self.idle.pop() else { break };
-            let Some(task) = self.scheduler.pick(WorkerId(w)) else {
-                self.idle.push(w);
-                break;
-            };
+        while self.scheduler.ready_count() > 0 && self.idle != 0 {
+            let w = self.idle.trailing_zeros();
+            let Some(task) = self.scheduler.pick(WorkerId(w)) else { break };
+            self.idle &= self.idle - 1;
             let widx = w as usize;
             let start = self.components[widx].local_time.max(now).max(self.ready_at[task.index()]);
             let inst = self.program.instance(task);
+            let type_id = inst.type_id();
             self.running_count += 1;
             let ctx = TaskStart {
                 task,
-                type_id: inst.type_id(),
+                type_id,
                 instructions: inst.instructions(),
                 worker: WorkerId(w),
                 time: start,
@@ -474,7 +494,7 @@ impl<'p, S: Sink> Engine<'p, S> {
                 tick: start,
                 worker: w,
                 task: task.0,
-                type_id: inst.type_id().0,
+                type_id: type_id.0,
                 detailed: matches!(mode, ExecMode::Detailed),
             });
             match mode {
@@ -492,6 +512,7 @@ impl<'p, S: Sink> Engine<'p, S> {
                         .unwrap_or_else(|| InstBlock::with_capacity(self.block_capacity));
                     comp.running = Some(Running::Detailed {
                         task,
+                        type_id,
                         source: self.traces.source(task, spec),
                         block,
                         cursor: 0,
@@ -521,6 +542,7 @@ impl<'p, S: Sink> Engine<'p, S> {
                     let end = start + burst_duration(inst.instructions(), ipc) * comp.divider;
                     comp.running = Some(Running::Burst {
                         task,
+                        type_id,
                         start,
                         end,
                         instructions: inst.instructions(),
@@ -666,7 +688,7 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     // Deduplicate regions first: tiled programs annotate the same block in
     // thousands of instances, and re-touching resident lines would spend
     // the entire prewarm budget on LRU churn.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen: HashSet<(u64, u64), BuildHasherDefault<RegionHasher>> = HashSet::default();
     let line_shift = line_size.trailing_zeros();
     let mut spans = Vec::new();
     // Reverse creation order: the "most recently initialized" data (what an
@@ -692,6 +714,32 @@ fn prewarm_memory(mem: &mut MemorySystem, program: &Program, line_size: u32) {
     mem.prewarm(&spans);
 }
 
+/// A multiplicative hasher for the `(base, len)` region keys of
+/// [`prewarm_memory`]: one multiply per word instead of SipHash. The keys
+/// come from the program, not from an adversary, so flooding resistance
+/// buys nothing here.
+#[derive(Default)]
+struct RegionHasher(u64);
+
+impl Hasher for RegionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its well-mixed ones; aligned
+        // addresses leave the low bits zero, and the table indexes by
+        // those.
+        self.0.rotate_left(26)
+    }
+}
+
 /// Per-run counters.
 #[derive(Debug, Default)]
 pub(crate) struct RunStats {
@@ -711,6 +759,7 @@ pub(crate) struct RunStats {
 pub(crate) enum Running {
     Detailed {
         task: TaskInstanceId,
+        type_id: TaskTypeId,
         /// Producer of the task's instruction stream (procedural or
         /// recorded, via the simulation's [`TraceProvider`]).
         source: Box<dyn TraceSource>,
@@ -726,6 +775,7 @@ pub(crate) enum Running {
     },
     Burst {
         task: TaskInstanceId,
+        type_id: TaskTypeId,
         start: u64,
         end: u64,
         instructions: u64,
@@ -736,10 +786,7 @@ pub(crate) enum Running {
     /// forwards itself to `finish_tick` — the exact event tick the task's
     /// final chunk would have occupied sequentially — and completes there,
     /// so completion processing order matches the sequential engine.
-    Committed {
-        report: TaskReport,
-        finish_tick: u64,
-    },
+    Committed { report: TaskReport, finish_tick: u64 },
 }
 
 /// One bounded time chunk of detailed execution: refills `block` from
@@ -867,6 +914,7 @@ impl Component for CoreComponent {
         match running {
             Running::Detailed {
                 task,
+                type_id,
                 mut source,
                 mut block,
                 mut cursor,
@@ -906,7 +954,7 @@ impl Component for CoreComponent {
                     );
                     let report = TaskReport {
                         task,
-                        type_id: ctx.program.instance(task).type_id(),
+                        type_id,
                         worker: WorkerId(self.id),
                         start,
                         end,
@@ -921,6 +969,7 @@ impl Component for CoreComponent {
                     self.local_time = now_local * self.divider;
                     self.running = Some(Running::Detailed {
                         task,
+                        type_id,
                         source,
                         block,
                         cursor,
@@ -934,11 +983,11 @@ impl Component for CoreComponent {
                     self.next_tick = Some(now_local * self.divider);
                 }
             }
-            Running::Burst { task, start, end, instructions, concurrency } => {
+            Running::Burst { task, type_id, start, end, instructions, concurrency } => {
                 debug_assert_eq!(ctx.now(), end);
                 let report = TaskReport {
                     task,
-                    type_id: ctx.program.instance(task).type_id(),
+                    type_id,
                     worker: WorkerId(self.id),
                     start,
                     end,
@@ -966,7 +1015,8 @@ impl Component for CoreComponent {
 }
 
 impl<'p> SimulationBuilder<'p> {
-    /// Sets the number of simulated worker threads (default 1, max 64).
+    /// Sets the number of simulated worker threads (default 1, max
+    /// [`MAX_WORKERS`]).
     /// For a heterogeneous machine this must equal the sum of its group
     /// sizes.
     pub fn workers(mut self, n: u32) -> Self {
@@ -1068,7 +1118,7 @@ impl<'p> SimulationBuilder<'p> {
     /// is 0, the machine configuration is invalid, or a heterogeneous
     /// machine's group sizes do not sum to the worker count.
     pub fn build(self) -> Simulation<'p> {
-        assert!(self.workers >= 1 && self.workers <= 64, "1..=64 workers");
+        assert!(self.workers >= 1 && self.workers <= MAX_WORKERS, "1..=64 workers");
         assert!(self.block_capacity >= 1, "instruction block needs capacity >= 1");
         assert!(self.detail_threads >= 1 && self.detail_threads <= 64, "1..=64 detail threads");
         self.machine.validate();
@@ -1284,11 +1334,67 @@ mod tests {
         assert!((r.detail_fraction() - 0.5).abs() < 1e-9);
     }
 
+    /// Two waves of `workers` tasks around a barrier task: wave 1 has
+    /// staggered lengths, so its workers free up in reverse id order; the
+    /// barrier task reads every wave-1 output; wave 2 only reads the
+    /// barrier's output, so all of it becomes ready at once on a fully
+    /// idle machine.
+    fn barrier_waves_program(workers: u64) -> Program {
+        let mut b = Program::builder("waves");
+        let ty = b.add_type("work");
+        let region = |i: u64| MemRegion::new(0x200_0000 + i * 64, 64);
+        for i in 0..workers {
+            let acc = vec![RegionAccess::output(region(i))];
+            b.add_task(ty, TraceSpec::synthetic(i, 100 * (workers - i)), acc);
+        }
+        let mut acc: Vec<RegionAccess> =
+            (0..workers).map(|i| RegionAccess::input(region(i))).collect();
+        acc.push(RegionAccess::output(region(workers)));
+        b.add_task(ty, TraceSpec::synthetic(workers, 100), acc);
+        for i in 0..workers {
+            let acc = vec![RegionAccess::input(region(workers))];
+            b.add_task(ty, TraceSpec::synthetic(workers + 1 + i, 100), acc);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn idle_workers_are_assigned_lowest_id_first() {
+        for workers in [1u32, 8, 64] {
+            let n = u64::from(workers);
+            let p = barrier_waves_program(n);
+            let r = Simulation::builder(&p, MachineConfig::tiny_test())
+                .workers(workers)
+                .collect_reports(true)
+                .build()
+                .run(&mut FixedIpc(1.0));
+            let worker_of =
+                |task: u64| r.reports.iter().find(|t| t.task.0 == task).expect("task ran").worker.0;
+            // Both waves start on a fully idle machine: task i of a wave
+            // lands on worker i, and the barrier task on worker 0. At 64
+            // workers the idle mask has no spare bit.
+            for i in 0..n {
+                assert_eq!(worker_of(i), i as u32, "{workers} workers, wave 1 task {i}");
+                assert_eq!(worker_of(n + 1 + i), i as u32, "{workers} workers, wave 2 task {i}");
+            }
+            assert_eq!(worker_of(n), 0, "{workers} workers, barrier task");
+            assert_eq!(r.total_cycles, 100 * n + 100 + 100);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "1..=64 workers")]
     fn zero_workers_rejected() {
         let p = independent_program(1, 1);
         let _ = Simulation::builder(&p, MachineConfig::tiny_test()).workers(0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 workers")]
+    fn sixty_five_workers_rejected() {
+        let p = independent_program(1, 1);
+        let _ =
+            Simulation::builder(&p, MachineConfig::tiny_test()).workers(MAX_WORKERS + 1).build();
     }
 
     #[test]

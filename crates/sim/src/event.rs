@@ -103,19 +103,22 @@ pub struct EventCtx<'a> {
     /// The system-noise model, if enabled — a passive [`Component`]
     /// consulted at task completion.
     pub noise: Option<&'a NoiseModel>,
-    completions: Vec<TaskReport>,
+    completions: &'a mut Vec<TaskReport>,
 }
 
 impl<'a> EventCtx<'a> {
-    /// Builds the context for one event.
+    /// Builds the context for one event. Completed tasks are appended to
+    /// `completions`, a buffer the caller owns and drains after the tick
+    /// (reused across events, so completing a task allocates nothing).
     pub fn new(
         now: u64,
         id: ComponentId,
         mem: &'a mut MemorySystem,
         program: &'a Program,
         noise: Option<&'a NoiseModel>,
+        completions: &'a mut Vec<TaskReport>,
     ) -> Self {
-        Self { now, id, mem, program, noise, completions: Vec::new() }
+        Self { now, id, mem, program, noise, completions }
     }
 
     /// The global tick this event fires at.
@@ -133,11 +136,6 @@ impl<'a> EventCtx<'a> {
     /// release, re-assignment) happen before any other event fires.
     pub fn complete(&mut self, report: TaskReport) {
         self.completions.push(report);
-    }
-
-    /// Consumes the context, yielding the completions in report order.
-    pub fn into_completions(self) -> Vec<TaskReport> {
-        self.completions
     }
 }
 

@@ -278,7 +278,10 @@ impl MemorySystem {
     /// Panics if the configuration is invalid or `cores == 0`.
     pub fn new(config: &MachineConfig, cores: u32) -> Self {
         config.validate();
-        assert!(cores > 0 && cores <= 64, "1..=64 cores supported (snoop mask is u64)");
+        assert!(
+            cores > 0 && cores <= crate::engine::MAX_WORKERS,
+            "1..=64 cores supported (snoop mask is u64)"
+        );
         let mut private = Vec::new();
         let mut private_latency = Vec::new();
         let mut shared = Vec::new();

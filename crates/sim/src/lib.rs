@@ -58,7 +58,7 @@ pub use config::{
     CacheLevelConfig, CoreConfig, CoreGroupConfig, KindLatencies, MachineConfig,
     MachineConfigError, MemoryConfig, MAX_CLOCK_DIVIDER,
 };
-pub use engine::{detail_threads_from_env, Simulation, SimulationBuilder};
+pub use engine::{detail_threads_from_env, Simulation, SimulationBuilder, MAX_WORKERS};
 pub use event::{Component, ComponentId, EventCtx, EventScheduler};
 pub use hierarchy::{LevelStats, MemPort, MemorySystem};
 pub use mode::{DetailedOnly, ExecMode, FixedIpc, ModeController, TaskStart};
