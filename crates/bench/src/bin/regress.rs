@@ -124,11 +124,10 @@ fn main() {
     );
     for c in &comparisons {
         println!(
-            "  vs {} @{}/{}t: baseline min {:.2} (median {:.2}) -> current median {:.2} \
+            "  vs {} @{}: baseline min {:.2} (median {:.2}) -> current median {:.2} \
              ({:+.1}% vs floor) {}",
             c.baseline_id,
             c.scale,
-            c.detail_threads,
             c.baseline_min,
             c.baseline_median,
             c.current_median,

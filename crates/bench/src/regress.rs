@@ -19,10 +19,14 @@
 //! * **BENCH_0008** — hand-authored kernel-path record: before/after
 //!   spreads at full scale for 1 and 2 detail threads, a quick-scale
 //!   continuity block, and interleaved median-of-medians cross-checks.
+//!   Only the one-thread "after" spreads become points; the two-thread
+//!   spread is shape-checked and dropped, since the simulator now has a
+//!   single sequential detailed path.
 //! * **`schema_version: 2`** — everything the probe writes from now on.
-//!   Same shape as BENCH_0007 plus the version field and
-//!   `detail_threads`; the probe validates its own output through
-//!   [`parse_record`] immediately after writing it.
+//!   Same shape as BENCH_0007 plus the version field; the probe validates
+//!   its own output through [`parse_record`] immediately after writing
+//!   it. Records written while the simulator had a detail-thread knob
+//!   (BENCH_0010) also carry `detail_threads`, which must then be `1`.
 //!
 //! ## Threshold discipline
 //!
@@ -58,14 +62,11 @@ fn err(msg: impl Into<String>) -> RecordError {
 }
 
 /// One normalized throughput measurement: a spread of detailed-mode
-/// Minstr/s samples at a given workload scale and detail-thread count.
+/// Minstr/s samples at a given workload scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesPoint {
     /// Workload scale the runs used (`quick` / `full`).
     pub scale: String,
-    /// Detail threads the runs used (1 when the record predates the
-    /// field).
-    pub detail_threads: u32,
     /// Raw per-run samples, Minstr/s (empty when the record only kept
     /// aggregates).
     pub runs: Vec<f64>,
@@ -163,12 +164,7 @@ fn median_of(sorted: &[f64]) -> f64 {
 /// Builds a point from raw runs, recomputing the aggregates so a record
 /// whose stored min/median disagrees with its own samples cannot skew
 /// the gate.
-fn point_from_runs(
-    scale: &str,
-    detail_threads: u32,
-    runs: Vec<f64>,
-    ctx: &str,
-) -> Result<SeriesPoint, RecordError> {
+fn point_from_runs(scale: &str, runs: Vec<f64>, ctx: &str) -> Result<SeriesPoint, RecordError> {
     if runs.is_empty() {
         return Err(err(format!("empty run array in {ctx}")));
     }
@@ -179,7 +175,6 @@ fn point_from_runs(
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
     Ok(SeriesPoint {
         scale: scale.to_string(),
-        detail_threads,
         min: sorted[0],
         median: median_of(&sorted),
         max: sorted[sorted.len() - 1],
@@ -187,25 +182,24 @@ fn point_from_runs(
     })
 }
 
-/// A `{runs?, min, median, max}` spread block (BENCH_0008 shape).
-fn point_from_spread(
-    o: &Object,
-    scale: &str,
-    detail_threads: u32,
-    ctx: &str,
-) -> Result<SeriesPoint, RecordError> {
+/// A `{runs?, min, median, max}` spread block (BENCH_0008 shape). An
+/// aggregate-only block is held to the same standard as raw runs: every
+/// value positive and finite, and `min <= median <= max` — a zero `min`
+/// would put the gate's floor at zero, where nothing can regress.
+fn point_from_spread(o: &Object, scale: &str, ctx: &str) -> Result<SeriesPoint, RecordError> {
     check_keys(o, &["runs", "min", "median", "max"], ctx)?;
     if o.get("runs").is_some() {
-        return point_from_runs(scale, detail_threads, num_array(o, "runs", ctx)?, ctx);
+        return point_from_runs(scale, num_array(o, "runs", ctx)?, ctx);
     }
-    Ok(SeriesPoint {
-        scale: scale.to_string(),
-        detail_threads,
-        runs: Vec::new(),
-        min: need_num(o, "min", ctx)?,
-        median: need_num(o, "median", ctx)?,
-        max: need_num(o, "max", ctx)?,
-    })
+    let (min, median, max) =
+        (need_num(o, "min", ctx)?, need_num(o, "median", ctx)?, need_num(o, "max", ctx)?);
+    if [min, median, max].iter().any(|v| !v.is_finite() || *v <= 0.0) {
+        return Err(err(format!("non-positive throughput aggregate in {ctx}")));
+    }
+    if !(min <= median && median <= max) {
+        return Err(err(format!("aggregates out of order (min <= median <= max) in {ctx}")));
+    }
+    Ok(SeriesPoint { scale: scale.to_string(), runs: Vec::new(), min, median, max })
 }
 
 const SAMPLED_CELL_KEYS: [&str; 4] = ["error_percent", "speedup", "detail_percent", "resamples"];
@@ -247,12 +241,7 @@ fn parse_ab_record(top: &Object) -> Result<BenchRecord, RecordError> {
             &ctx,
         )?;
         // Only the post-refactor runs describe this record's commit.
-        points.push(point_from_runs(
-            scale,
-            1,
-            num_array(block, "post_refactor_runs", &ctx)?,
-            &ctx,
-        )?);
+        points.push(point_from_runs(scale, num_array(block, "post_refactor_runs", &ctx)?, &ctx)?);
     }
     let mut sidecar = Vec::new();
     if let Some(sc) = top.obj("campaign_timing_sidecar") {
@@ -284,7 +273,8 @@ fn parse_ab_record(top: &Object) -> Result<BenchRecord, RecordError> {
 
 /// BENCH_0008: hand-authored kernel-path record (full-scale before/after
 /// spreads at 1 and 2 detail threads plus a quick-scale continuity
-/// block).
+/// block). Points: the one-thread "after" spreads at full and quick
+/// scale.
 fn parse_kernel_record(top: &Object) -> Result<BenchRecord, RecordError> {
     let id = need_str(top, "id", "record")?;
     check_keys(
@@ -310,13 +300,14 @@ fn parse_kernel_record(top: &Object) -> Result<BenchRecord, RecordError> {
         &["before_threads1", "after_threads1", "after_threads2", "interleaved_median_of_medians"],
         &kctx,
     )?;
-    // "before" spreads describe the parent commit; validate the shape but
-    // keep only the record's own ("after") measurements as points.
-    point_from_spread(need_obj(kernel, "before_threads1", &kctx)?, "full", 1, &kctx)?;
-    let mut points = vec![
-        point_from_spread(need_obj(kernel, "after_threads1", &kctx)?, "full", 1, &kctx)?,
-        point_from_spread(need_obj(kernel, "after_threads2", &kctx)?, "full", 2, &kctx)?,
-    ];
+    // "before" spreads describe the parent commit, and the two-thread
+    // spread a detail-thread knob the simulator no longer has: validate
+    // their shape but keep only the record's one-thread "after"
+    // measurements as points.
+    point_from_spread(need_obj(kernel, "before_threads1", &kctx)?, "full", &kctx)?;
+    point_from_spread(need_obj(kernel, "after_threads2", &kctx)?, "full", &kctx)?;
+    let mut points =
+        vec![point_from_spread(need_obj(kernel, "after_threads1", &kctx)?, "full", &kctx)?];
     if let Some(inter) = kernel.obj("interleaved_median_of_medians") {
         check_keys(
             inter,
@@ -327,8 +318,8 @@ fn parse_kernel_record(top: &Object) -> Result<BenchRecord, RecordError> {
     let cont = need_obj(top, "quick_scale_bench0007_continuity", &id)?;
     let cctx = format!("{id}.quick_scale_bench0007_continuity");
     check_keys(cont, &["bench0007_median", "before_threads1", "after_threads1"], &cctx)?;
-    point_from_spread(need_obj(cont, "before_threads1", &cctx)?, "quick", 1, &cctx)?;
-    points.push(point_from_spread(need_obj(cont, "after_threads1", &cctx)?, "quick", 1, &cctx)?);
+    point_from_spread(need_obj(cont, "before_threads1", &cctx)?, "quick", &cctx)?;
+    points.push(point_from_spread(need_obj(cont, "after_threads1", &cctx)?, "quick", &cctx)?);
     check_sampled_block(need_obj(top, "sampled_full_scale", &id)?, &format!("{id}.sampled"))?;
     Ok(BenchRecord {
         date: need_str(top, "date", &id)?,
@@ -361,25 +352,22 @@ fn parse_probe_record(top: &Object, version: u32) -> Result<BenchRecord, RecordE
     }
     check_keys(top, &allowed, &id)?;
     let scale = need_str(top, "scale", &id)?;
-    let detail_threads = match top.u64("detail_threads") {
-        Some(t) if version >= 2 => t as u32,
-        Some(_) => return Err(err(format!("{id}: detail_threads predates schema_version 2"))),
-        None if version >= 2 => {
-            return Err(err(format!("{id}: schema_version 2 requires detail_threads")))
+    // Legacy key (allowed from version 2 on): records written while the
+    // simulator had a detail-thread knob carry it, and only one-thread
+    // measurements compare with today's single sequential detailed path.
+    if let Some(t) = top.get("detail_threads") {
+        if *t != Value::Num(1.0) {
+            return Err(err(format!("{id}: detail_threads must be 1, got {}", t.to_json())));
         }
-        None => 1,
-    };
+    }
     let tp = need_obj(top, "probe_detailed_throughput_minstr_per_sec", &id)?;
     let ctx = format!("{id}.throughput");
     check_keys(tp, &["runs", "min", "median", "max"], &ctx)?;
     let runs = num_array(tp, "runs", &ctx)?;
     // A probe run that produced no detailed instructions writes an empty
     // spread; the record is valid but contributes no points.
-    let points = if runs.is_empty() {
-        Vec::new()
-    } else {
-        vec![point_from_runs(&scale, detail_threads, runs, &ctx)?]
-    };
+    let points =
+        if runs.is_empty() { Vec::new() } else { vec![point_from_runs(&scale, runs, &ctx)?] };
     check_sampled_block(need_obj(top, "sampled", &id)?, &format!("{id}.sampled"))?;
     Ok(BenchRecord {
         date: need_str(top, "date", &id)?,
@@ -420,8 +408,6 @@ pub struct Comparison {
     pub baseline_id: String,
     /// Workload scale compared at.
     pub scale: String,
-    /// Detail threads compared at.
-    pub detail_threads: u32,
     /// The baseline's min-over-runs (its observed noise floor).
     pub baseline_min: f64,
     /// The baseline's median, for context.
@@ -442,7 +428,7 @@ pub enum Verdict {
     Ok,
     /// At least one comparable point regressed beyond the band.
     Regression,
-    /// No baseline point matched the current run's (scale, threads).
+    /// No baseline point matched the current run's scale.
     NoComparableBaseline,
 }
 
@@ -459,9 +445,9 @@ impl Verdict {
 
 /// Compares a current probe record against the baseline series.
 ///
-/// For every baseline point matching one of the current record's
-/// `(scale, detail_threads)` points, the current *median* must stay
-/// above the baseline *min-over-runs* minus the documented drift band —
+/// For every baseline point at the scale of one of the current record's
+/// points, the current *median* must stay above the baseline
+/// *min-over-runs* minus the documented drift band —
 /// the noise-aware statistic of `docs/PERFORMANCE.md`: a single loud
 /// neighbor can push any one sample down 25%, but the typical current
 /// run falling below even the baseline's worst historical sample by more
@@ -471,14 +457,13 @@ pub fn compare(current: &BenchRecord, baselines: &[BenchRecord]) -> (Vec<Compari
     for cur in &current.points {
         for baseline in baselines {
             for point in &baseline.points {
-                if point.scale != cur.scale || point.detail_threads != cur.detail_threads {
+                if point.scale != cur.scale {
                     continue;
                 }
                 let floor = point.min * (1.0 - DRIFT_BAND_PERCENT / 100.0);
                 comparisons.push(Comparison {
                     baseline_id: baseline.id.clone(),
                     scale: cur.scale.clone(),
-                    detail_threads: cur.detail_threads,
                     baseline_min: point.min,
                     baseline_median: point.median,
                     current_median: cur.median,
@@ -520,7 +505,6 @@ pub fn verdict_json(
         .map(|p| {
             let mut o = Object::new();
             o.set("scale", Value::Str(p.scale.clone()));
-            o.set("detail_threads", Value::Num(p.detail_threads as f64));
             o.set("min", Value::Num(round2(p.min)));
             o.set("median", Value::Num(round2(p.median)));
             o.set("max", Value::Num(round2(p.max)));
@@ -534,7 +518,6 @@ pub fn verdict_json(
             let mut o = Object::new();
             o.set("baseline", Value::Str(c.baseline_id.clone()));
             o.set("scale", Value::Str(c.scale.clone()));
-            o.set("detail_threads", Value::Num(c.detail_threads as f64));
             o.set("baseline_min", Value::Num(round2(c.baseline_min)));
             o.set("baseline_median", Value::Num(round2(c.baseline_median)));
             o.set("current_median", Value::Num(round2(c.current_median)));
@@ -573,18 +556,38 @@ mod tests {
         assert_eq!(r7.schema_version, 1);
         assert_eq!(r7.points.len(), 1);
         assert_eq!(r7.points[0].scale, "quick");
-        assert_eq!(r7.points[0].detail_threads, 1);
         assert_eq!(r7.points[0].runs.len(), 7);
         assert_eq!(r7.points[0].min, 30.0);
         assert_eq!(r7.points[0].median, 31.54);
 
         let r8 = parse_record(BENCH_0008).unwrap();
         assert_eq!(r8.schema_version, 1);
-        // after@full/1, after@full/2, quick continuity after/1.
-        assert_eq!(r8.points.len(), 3);
-        assert_eq!(r8.points[1].detail_threads, 2);
-        assert_eq!(r8.points[2].scale, "quick");
-        assert_eq!(r8.points[2].median, 19.22);
+        // after@full/1 and the quick continuity after/1; the two-thread
+        // spread is shape-checked only.
+        assert_eq!(r8.points.len(), 2);
+        assert_eq!(r8.points[0].scale, "full");
+        assert_eq!(r8.points[0].median, 44.21);
+        assert_eq!(r8.points[1].scale, "quick");
+        assert_eq!(r8.points[1].median, 19.22);
+        let bad_threads2 = BENCH_0008.replace("\"runs\":[46.67,", "\"runs\":[0,");
+        assert_ne!(bad_threads2, BENCH_0008, "injection must apply");
+        assert!(parse_record(&bad_threads2).unwrap_err().to_string().contains("non-positive"));
+    }
+
+    #[test]
+    fn aggregate_only_spreads_are_validated() {
+        let block = "\"before_threads1\":{\"min\":51.82,\"median\":55.98,\"max\":66.93}";
+        assert!(BENCH_0008.contains(block), "BENCH_0008's aggregate-only block");
+        for (bad, why) in [
+            ("{\"min\":0,\"median\":55.98,\"max\":66.93}", "non-positive"),
+            ("{\"min\":-1,\"median\":55.98,\"max\":66.93}", "non-positive"),
+            ("{\"min\":60,\"median\":55.98,\"max\":66.93}", "out of order"),
+            ("{\"min\":51.82,\"median\":70,\"max\":66.93}", "out of order"),
+        ] {
+            let text = BENCH_0008.replace(block, &format!("\"before_threads1\":{bad}"));
+            let e = parse_record(&text).expect_err(bad).to_string();
+            assert!(e.contains(why) && e.contains("kernel_path_full_scale"), "{bad}: {e}");
+        }
     }
 
     #[test]
@@ -619,7 +622,7 @@ mod tests {
     fn probe_v2(median_runs: &str) -> String {
         format!(
             "{{\"schema_version\":2,\"id\":\"BENCH_TEST\",\"date\":\"2026-08-08\",\
-             \"method\":\"m\",\"bench\":\"cholesky\",\"workers\":8,\"detail_threads\":1,\
+             \"method\":\"m\",\"bench\":\"cholesky\",\"workers\":8,\
              \"scale\":\"quick\",\"scale_seed\":1,\
              \"probe_detailed_throughput_minstr_per_sec\":{{\"runs\":[{median_runs}],\
              \"min\":1,\"median\":1,\"max\":1}},\
@@ -630,13 +633,22 @@ mod tests {
     }
 
     #[test]
-    fn schema_version_2_requires_detail_threads_and_known_keys() {
+    fn schema_version_2_allows_only_one_detail_thread_and_known_keys() {
         let good = probe_v2("30,31,32");
         let r = parse_record(&good).unwrap();
         assert_eq!(r.schema_version, 2);
         assert_eq!(r.points[0].median, 31.0);
-        let missing = good.replace("\"detail_threads\":1,", "");
-        assert!(parse_record(&missing).unwrap_err().to_string().contains("detail_threads"));
+        let legacy = good.replace("\"workers\":8,", "\"workers\":8,\"detail_threads\":1,");
+        assert_eq!(parse_record(&legacy).unwrap(), r, "legacy key with value 1 is accepted");
+        for bad in ["2", "0", "1.5", "\"1\""] {
+            let threads =
+                good.replace("\"workers\":8,", &format!("\"workers\":8,\"detail_threads\":{bad},"));
+            let e = parse_record(&threads).expect_err(bad).to_string();
+            assert!(e.contains("detail_threads"), "{bad}: {e}");
+        }
+        let v1 = BENCH_0007
+            .replace("\"id\":\"BENCH_0007\",", "\"id\":\"BENCH_0007\",\"detail_threads\":1,");
+        assert!(parse_record(&v1).unwrap_err().to_string().contains("detail_threads"));
         let unknown = good.replace("\"workers\":8,", "\"workers\":8,\"extra\":true,");
         assert!(parse_record(&unknown).unwrap_err().to_string().contains("extra"));
         let vfuture = good.replace("\"schema_version\":2", "\"schema_version\":3");
@@ -650,7 +662,7 @@ mod tests {
         // quick continuity floor is 16.83; band floor ≈ 12.6.
         let current = parse_record(&probe_v2("23.0,23.5,24.0")).unwrap();
         let (cmps, verdict) = compare(&current, &baselines);
-        assert_eq!(cmps.len(), 2, "quick/1 matches 0007 and 0008, not full-scale points");
+        assert_eq!(cmps.len(), 2, "quick matches 0007 and 0008, not full-scale points");
         assert_eq!(verdict, Verdict::Ok);
         // Below 22.5 → 0007 flags, 0008 (floor 12.6) does not; overall
         // verdict is regression.

@@ -420,7 +420,6 @@ impl Context {
                 let program = self.program(spec.bench, &spec.scale);
                 let mut builder = Simulation::builder(&program, spec.machine.clone())
                     .workers(spec.workers)
-                    .detail_threads(tasksim::detail_threads_from_env())
                     .collect_reports(true)
                     .telemetry(telemetry.clone());
                 builder = builder.traces(self.provider(spec.bench));

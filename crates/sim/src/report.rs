@@ -198,21 +198,18 @@ pub struct LatencyPercentiles {
     pub p999: f64,
 }
 
-/// Host-side accounting of the intra-run parallel detail layer
-/// ([`SimulationBuilder::detail_threads`](crate::SimulationBuilder::detail_threads)).
+/// Counters of a removed speculative parallel-detail executor.
 ///
-/// Like [`SimResult::wall_seconds`], this describes how the simulation was
-/// *executed*, not what it computed: all simulated quantities are
-/// bit-identical at any thread count, while these counters legitimately
-/// vary (always zero at `detail_threads = 1`). Identity comparisons must
-/// exclude it.
+/// The engine has one detailed path, the sequential event loop, and
+/// always writes both counters as zero. The type stays only because the
+/// benchmark harness (`perfbench/`) clears [`SimResult::parallel_epochs`]
+/// before comparing results; both go away together in a change to that
+/// harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelEpochs {
-    /// Speculative scheduling epochs whose results validated and were
-    /// committed into the event engine.
+    /// Always zero.
     pub committed: u64,
-    /// Speculative epochs discarded by replay validation (the engine
-    /// re-ran them sequentially; results are unaffected).
+    /// Always zero.
     pub aborted: u64,
 }
 
@@ -249,8 +246,7 @@ pub struct SimResult {
     /// Per-core-group statistics, in the machine's group order. Empty for
     /// homogeneous machines.
     pub groups: Vec<GroupStats>,
-    /// Parallel detail-layer accounting (host-side execution metadata,
-    /// excluded from result-identity comparisons like `wall_seconds`).
+    /// Always zero: a compatibility leftover (see [`ParallelEpochs`]).
     pub parallel_epochs: ParallelEpochs,
     /// Per-core-group cycle accounting (one synthetic `all` group for
     /// homogeneous machines). Categories sum to `total_cycles × cores`.
