@@ -517,6 +517,94 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
     }
 
+    /// True LRU, one `VecDeque` per set, MRU at the front.
+    struct LruModel {
+        sets: Vec<std::collections::VecDeque<u64>>,
+        assoc: usize,
+    }
+
+    impl LruModel {
+        fn set(&mut self, line: u64) -> &mut std::collections::VecDeque<u64> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn access(&mut self, line: u64) -> AccessOutcome {
+            let assoc = self.assoc;
+            let set = self.set(line);
+            let outcome = match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    AccessOutcome::Hit
+                }
+                None => AccessOutcome::Miss,
+            };
+            set.push_front(line);
+            set.truncate(assoc);
+            outcome
+        }
+
+        fn install(&mut self, line: u64) {
+            let assoc = self.assoc;
+            let set = self.set(line);
+            if !set.contains(&line) {
+                set.push_front(line);
+                set.truncate(assoc);
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) -> bool {
+            let set = self.set(line);
+            match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    #[test]
+    fn matches_a_true_lru_model_on_random_streams() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1A0_CAC4E);
+        for assoc in [1u32, 2, 8, 16, 20] {
+            let sets = 8u64;
+            let mut cache = SetAssocCache::new(sets * assoc as u64 * 64, assoc, 64);
+            let mut model = LruModel {
+                sets: vec![std::collections::VecDeque::new(); sets as usize],
+                assoc: assoc as usize,
+            };
+            // Lines from a space about twice the capacity: hits, misses,
+            // evictions and invalidations of present and absent lines all
+            // occur often.
+            let space = 2 * sets * assoc as u64;
+            for step in 0..20_000 {
+                let line = rng.next_below(space);
+                match rng.next_below(8) {
+                    0 => {
+                        cache.install(line);
+                        model.install(line);
+                    }
+                    1 => assert_eq!(cache.invalidate(line), model.invalidate(line)),
+                    _ => assert_eq!(cache.access(line), model.access(line), "step {step}"),
+                }
+                let set = (line % sets) as usize;
+                let ways = &cache.tags[set * assoc as usize..][..assoc as usize];
+                let resident: Vec<u64> = ways.iter().copied().filter(|&t| t != EMPTY).collect();
+                assert!(
+                    resident.iter().eq(model.sets[set].iter()),
+                    "{assoc}-way, step {step}: {ways:?} vs {:?}",
+                    model.sets[set]
+                );
+                // Empty ways only ever trail the resident ones.
+                assert!(ways[resident.len()..].iter().all(|&t| t == EMPTY));
+            }
+            let resident: usize = model.sets.iter().map(|s| s.len()).sum();
+            assert_eq!(cache.occupancy(), resident);
+        }
+    }
+
     #[test]
     fn working_set_larger_than_cache_thrashes() {
         // Cyclic walk over 16 lines (cache holds 8) with LRU => 0% hit rate.

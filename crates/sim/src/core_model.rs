@@ -74,6 +74,32 @@ const SLOT_CONTENTION: u8 = 4;
 
 const SLOT_STALL: [usize; 5] = [STALL_ROB, STALL_L1, STALL_L2, STALL_DRAM, STALL_CONTENTION];
 
+/// The cycle a load ready at `d` gets an MSHR, given the completion
+/// cycles of the `outstanding` misses; drops the misses completed by then.
+///
+/// If the misses still pending at `d` fill all `mshrs`, the load waits for
+/// the earliest of them. One pass counts the pending misses and finds the
+/// earliest; one compaction then keeps the misses that complete after the
+/// returned cycle, in order, with one store per entry and no branch on the
+/// completion times.
+#[inline]
+fn take_mshr(outstanding: &mut Vec<u64>, mshrs: usize, d: u64) -> u64 {
+    let (mut pending, mut earliest) = (0usize, u64::MAX);
+    for &c in outstanding.iter() {
+        pending += (c > d) as usize;
+        earliest = earliest.min(if c > d { c } else { u64::MAX });
+    }
+    let d = if pending >= mshrs { earliest } else { d };
+    let mut kept = 0;
+    for i in 0..outstanding.len() {
+        let c = outstanding[i];
+        outstanding[kept] = c;
+        kept += (c > d) as usize;
+    }
+    outstanding.truncate(kept);
+    d
+}
+
 /// Workload-dependent execution parameters of the current task, taken from
 /// its trace spec.
 #[derive(Debug, Clone, Copy)]
@@ -382,16 +408,13 @@ impl RobCore {
                 // time — and therefore the stall — is identical to eager
                 // per-load cleaning.
                 if self.outstanding.len() >= self.mshrs {
-                    self.outstanding.retain(|&c| c > d);
-                    if self.outstanding.len() >= self.mshrs {
-                        let earliest = *self.outstanding.iter().min().expect("non-empty");
-                        d = d.max(earliest);
-                        let raised = d * self.issue_width;
-                        if raised > ticks {
-                            self.stall_ticks[STALL_MSHR] += raised - ticks;
-                            ticks = raised;
-                        }
-                        self.outstanding.retain(|&c| c > d);
+                    d = take_mshr(&mut self.outstanding, self.mshrs, d);
+                    // `d` only moves when the load waits: before, `d` is
+                    // `ticks / issue_width` rounded down.
+                    let raised = d * self.issue_width;
+                    if raised > ticks {
+                        self.stall_ticks[STALL_MSHR] += raised - ticks;
+                        ticks = raised;
                     }
                 }
                 // Memory accesses cross the clock-domain boundary: the
@@ -505,6 +528,38 @@ mod tests {
             last = core.execute(0, &inst, NO_EVENTS, &mut mem, &mut rng, &mut crng);
         }
         last
+    }
+
+    /// The MSHR guard as two `retain` passes: drop the misses done by
+    /// `d`; if all MSHRs are still busy, wait for the earliest and drop
+    /// again.
+    fn take_mshr_by_retain(outstanding: &mut Vec<u64>, mshrs: usize, mut d: u64) -> u64 {
+        outstanding.retain(|&c| c > d);
+        if outstanding.len() >= mshrs {
+            d = d.max(*outstanding.iter().min().expect("non-empty"));
+            outstanding.retain(|&c| c > d);
+        }
+        d
+    }
+
+    #[test]
+    fn mshr_compaction_matches_two_retain_passes() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x4D5B);
+        for case in 0..20_000 {
+            let mshrs = 1 + rng.next_below(12) as usize;
+            // Mostly full lists, as at the guard, sometimes longer; tight
+            // completion times so ties with `d` and with each other occur.
+            let len = mshrs + rng.next_below(3) as usize;
+            let list: Vec<u64> = (0..len).map(|_| 100 + rng.next_below(40)).collect();
+            let d = 95 + rng.next_below(50);
+            let (mut got, mut want) = (list.clone(), list.clone());
+            assert_eq!(
+                take_mshr(&mut got, mshrs, d),
+                take_mshr_by_retain(&mut want, mshrs, d),
+                "case {case}: {list:?}, {mshrs} MSHRs, d {d}"
+            );
+            assert_eq!(got, want, "case {case}: {list:?}, {mshrs} MSHRs, d {d}");
+        }
     }
 
     #[test]

@@ -87,38 +87,65 @@ impl LevelStats {
 #[derive(Debug, Clone)]
 struct ServiceQueue {
     service: f64,
-    bucket_len: f64,
-    bucket: u64,
-    arrivals: f64,
+    bucket_len: u64,
+    /// First tick of the current bucket, which spans
+    /// `bucket_start .. bucket_start + bucket_len`.
+    bucket_start: u64,
+    arrivals: u64,
     /// Smoothed utilization estimate from completed buckets.
     rho: f64,
+    /// The M/D/1 wait at `rho`, charged to every access of the bucket.
+    wait: u64,
 }
 
 impl ServiceQueue {
     fn new(service: u64, bucket_len: u64) -> Self {
         Self {
             service: service as f64,
-            bucket_len: bucket_len.max(1) as f64,
-            bucket: 0,
-            arrivals: 0.0,
+            bucket_len: bucket_len.max(1),
+            bucket_start: 0,
+            arrivals: 0,
             rho: 0.0,
+            wait: 0,
         }
     }
 
     /// Registers an access at `now`; returns the expected queueing delay.
+    ///
+    /// The wait depends only on `rho`, which changes only when an access
+    /// falls outside the current bucket, so it is computed then and
+    /// reused: every other access pays a range check, not two divisions
+    /// and a rounding.
+    #[inline]
     fn delay(&mut self, now: u64) -> u64 {
-        let b = (now as f64 / self.bucket_len) as u64;
-        if b != self.bucket {
-            let inst_rho = (self.arrivals * self.service / self.bucket_len).min(2.0);
-            // Gentle smoothing: sharp per-bucket swings would make task
-            // latency depend on bucket phase, an artifact rather than load.
-            self.rho = 0.75 * self.rho + 0.25 * inst_rho;
-            self.bucket = b;
-            self.arrivals = 0.0;
+        // `now` before the bucket wraps to a large difference.
+        if now.wrapping_sub(self.bucket_start) >= self.bucket_len {
+            self.enter_bucket(now);
         }
-        self.arrivals += 1.0;
+        self.arrivals += 1;
+        self.wait
+    }
+
+    /// Closes the current bucket into `rho` and opens the one holding
+    /// `now` — also when time moved back across a boundary (core clocks
+    /// skew within a chunk).
+    ///
+    /// The bucket is `now / bucket_len` in integers. For every `now`
+    /// below 2⁵³ that equals the truncated `f64` quotient
+    /// `(now as f64 / bucket_len as f64) as u64`, which the golden cycle
+    /// counts were recorded with: rounding the quotient up to the next
+    /// integer `k` would need `now` within `k · bucket_len · 2⁻⁵³ < 1`
+    /// tick of `k · bucket_len`.
+    fn enter_bucket(&mut self, now: u64) {
+        let bucket_len = self.bucket_len as f64;
+        let inst_rho = (self.arrivals as f64 * self.service / bucket_len).min(2.0);
+        // Gentle smoothing: sharp per-bucket swings would make task
+        // latency depend on bucket phase, an artifact rather than load.
+        self.rho = 0.75 * self.rho + 0.25 * inst_rho;
+        self.bucket_start = now - now % self.bucket_len;
+        self.arrivals = 0;
         let rho = self.rho.min(0.90);
-        (self.service * rho / (2.0 * (1.0 - rho))).round() as u64
+        self.wait = (self.service * rho / (2.0 * (1.0 - rho))).round() as u64;
     }
 }
 
@@ -612,6 +639,66 @@ mod tests {
             loaded.latency,
             quiet.latency
         );
+    }
+
+    /// `ServiceQueue::delay` as it was specified per access: bucket from
+    /// the `f64` quotient, utilization update on any bucket change, M/D/1
+    /// wait recomputed and rounded for every access.
+    struct ReferenceQueue {
+        service: f64,
+        bucket_len: f64,
+        bucket: u64,
+        arrivals: f64,
+        rho: f64,
+    }
+
+    impl ReferenceQueue {
+        fn delay(&mut self, now: u64) -> u64 {
+            let b = (now as f64 / self.bucket_len) as u64;
+            if b != self.bucket {
+                let inst_rho = (self.arrivals * self.service / self.bucket_len).min(2.0);
+                self.rho = 0.75 * self.rho + 0.25 * inst_rho;
+                self.bucket = b;
+                self.arrivals = 0.0;
+            }
+            self.arrivals += 1.0;
+            let rho = self.rho.min(0.90);
+            (self.service * rho / (2.0 * (1.0 - rho))).round() as u64
+        }
+    }
+
+    #[test]
+    fn cached_queue_wait_matches_the_per_access_formula() {
+        let mut rng = taskpoint_stats::rng::Xoshiro256pp::seed_from_u64(0x000D_E1A7);
+        for (service, bucket_len) in [(4u64, 1024u64), (3, 1000), (20, 512), (1, 1), (7, 0)] {
+            let mut queue = ServiceQueue::new(service, bucket_len);
+            let mut reference = ReferenceQueue {
+                service: service as f64,
+                bucket_len: bucket_len.max(1) as f64,
+                bucket: 0,
+                arrivals: 0.0,
+                rho: 0.0,
+            };
+            let len = bucket_len.max(1);
+            let mut now = 0u64;
+            let mut waits = std::collections::BTreeSet::new();
+            for step in 0..50_000 {
+                // Mostly forward within a few buckets, with bursts dense
+                // enough to saturate, and jumps back across a boundary the
+                // way skewed core clocks arrive.
+                now = match rng.next_below(256) {
+                    0..=1 => now.saturating_sub(rng.next_below(2 * len + 1)),
+                    2..=3 => (now / len) * len,
+                    4..=5 => ((now / len) * len).saturating_sub(1),
+                    6 => now + rng.next_below(4 * len),
+                    _ => now + rng.next_below(2),
+                };
+                let want = reference.delay(now);
+                assert_eq!(queue.delay(now), want, "service {service}, step {step}, now {now}");
+                waits.insert(want);
+            }
+            assert!(waits.len() > 2 || bucket_len <= 1, "{service}/{bucket_len}: {waits:?}");
+        }
     }
 
     #[test]

@@ -107,6 +107,7 @@ impl Xoshiro256pp {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         let mut x = self.next_u64();
@@ -162,6 +163,7 @@ impl Xoshiro256pp {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }

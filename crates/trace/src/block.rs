@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::encode::DecodeError;
 use crate::inst::{InstKind, Instruction};
-use crate::mix::InstructionMix;
+use crate::mix::{InstructionMix, KindTable};
 use crate::pattern::AddressStream;
 use bytes::Bytes;
 use taskpoint_stats::rng::Xoshiro256pp;
@@ -226,7 +226,8 @@ pub struct SpecSource {
     /// Drives data-dependent choices (addresses).
     data_rng: Xoshiro256pp,
     addresses: Option<AddressStream>,
-    mix: InstructionMix,
+    /// The mix compiled for bulk kind draws.
+    kinds: Arc<KindTable>,
 }
 
 impl SpecSource {
@@ -235,9 +236,9 @@ impl SpecSource {
         code_rng: Xoshiro256pp,
         data_rng: Xoshiro256pp,
         addresses: Option<AddressStream>,
-        mix: InstructionMix,
+        mix: &InstructionMix,
     ) -> Self {
-        Self { remaining, code_rng, data_rng, addresses, mix }
+        Self { remaining, code_rng, data_rng, addresses, kinds: KindTable::shared(mix) }
     }
 
     /// Instructions left in the stream.
@@ -251,10 +252,10 @@ impl TraceSource for SpecSource {
         block.clear();
         let n = (block.capacity() as u64).min(self.remaining) as usize;
         // Phase 1: the kind column (code RNG only — the "machine code"
-        // shared by all instances of the task type).
-        for _ in 0..n {
-            block.kinds.push(self.mix.sample(&mut self.code_rng));
-        }
+        // shared by all instances of the task type), drawn through the
+        // mix's bucket table.
+        let (table, code_rng) = (&*self.kinds, &mut self.code_rng);
+        block.kinds.extend((0..n).map(|_| table.sample(code_rng)));
         // Phase 2: the address/size columns (data RNG only). The phases
         // consume disjoint RNG streams, so splitting them preserves each
         // stream's draw order and the block equals the per-instruction
@@ -499,26 +500,45 @@ mod tests {
         let patterns = [
             AccessPattern::sequential(8),
             AccessPattern::sequential(192),
+            // Strides that do not divide the footprints, one equal to the
+            // larger footprint and ones beyond both.
+            AccessPattern::sequential(24),
+            AccessPattern::sequential(1 << 16),
+            AccessPattern::sequential(70_001),
+            AccessPattern::sequential(u32::MAX),
             AccessPattern::strided(128, 4),
             AccessPattern::Random,
             AccessPattern::Gather { hot_probability: 0.8, hot_fraction: 0.1 },
+            AccessPattern::Gather { hot_probability: 0.0, hot_fraction: 0.1 },
+            AccessPattern::Gather { hot_probability: 1.0, hot_fraction: 0.1 },
+            // The hot region clamps up to one access (8 bytes).
+            AccessPattern::Gather { hot_probability: 0.5, hot_fraction: 1e-6 },
             AccessPattern::PointerChase,
             AccessPattern::Stencil { planes: 3, plane_stride: 1024 },
         ];
         for (i, pattern) in patterns.into_iter().enumerate() {
             for mix in [InstructionMix::balanced(), InstructionMix::atomic_heavy()] {
                 for shared in [MemRegion::empty(), MemRegion::new(0x9000_0000, 2048)] {
-                    let s = TraceSpec::builder()
-                        .seed(1000 + i as u64)
-                        .code_seed(7)
-                        .instructions(4000)
-                        .mix(mix.clone())
-                        .pattern(pattern)
-                        .footprint(MemRegion::new(0x4000_0000, 1 << 16))
-                        .shared(shared)
-                        .build();
-                    let got = drain(&mut s.source(), 100);
-                    assert_eq!(got, naive_stream(&s), "pattern {pattern:?} shared {shared:?}");
+                    for footprint in [1 << 16, 5000] {
+                        let s = TraceSpec::builder()
+                            .seed(1000 + i as u64)
+                            .code_seed(7)
+                            .instructions(4000)
+                            .mix(mix.clone())
+                            .pattern(pattern)
+                            .footprint(MemRegion::new(0x4000_0000, footprint))
+                            .shared(shared)
+                            .build();
+                        let want = naive_stream(&s);
+                        for capacity in [1, 7, 100, BLOCK_CAPACITY, 5000] {
+                            assert_eq!(
+                                drain(&mut s.source(), capacity),
+                                want,
+                                "pattern {pattern:?} shared {shared:?} footprint {footprint} \
+                                 capacity {capacity}"
+                            );
+                        }
+                    }
                 }
             }
         }

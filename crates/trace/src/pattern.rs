@@ -181,59 +181,54 @@ impl AddressStream {
         sizes: &mut Vec<u8>,
         rng: &mut Xoshiro256pp,
     ) {
+        sizes.extend(kinds.iter().map(|k| if k.is_memory() { ACCESS_SIZE } else { 0 }));
         // Atomics divert to the shared region when one exists — a per-kind
         // decision, so only the generic loop applies.
         if !self.shared.is_empty() {
             for &kind in kinds {
-                if kind.is_memory() {
-                    addrs.push(self.next_addr(kind, rng));
-                    sizes.push(ACCESS_SIZE);
-                } else {
-                    addrs.push(0);
-                    sizes.push(0);
-                }
+                addrs.push(if kind.is_memory() { self.next_addr(kind, rng) } else { 0 });
             }
             return;
         }
+        let (base, len) = (self.footprint.base, self.footprint.len);
         match self.pattern {
             AccessPattern::Sequential { stride } => {
-                let mut off = self.offsets[0];
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(self.footprint.wrap(off));
-                        off = off.wrapping_add(stride as u64);
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
-                self.offsets[0] = off;
+                // The offset is kept reduced modulo the footprint, so a
+                // step is an add and a conditional subtract instead of a
+                // 64-bit `%`, and the kind only selects values: no branch
+                // on the kind sequence. `wrap` of the unreduced offset
+                // gives the same address unless that offset overflows
+                // `u64` (2⁶⁴ / stride accesses into one stream).
+                let step = stride as u64 % len;
+                let back = len - step; // r + step wraps  ⟺  r >= back
+                let mut r = self.offsets[0] % len;
+                addrs.extend(kinds.iter().map(|k| {
+                    let memory = k.is_memory();
+                    let addr = if memory { base + r } else { 0 };
+                    let next = if r >= back { r - back } else { r + step };
+                    r = if memory { next } else { r };
+                    addr
+                }));
+                self.offsets[0] = r;
             }
             AccessPattern::Random => {
-                let slots = (self.footprint.len / ACCESS_SIZE as u64).max(1);
-                let base = self.footprint.base;
-                for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(base + rng.next_below(slots) * ACCESS_SIZE as u64);
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
-                }
+                let slots = (len / ACCESS_SIZE as u64).max(1);
+                fill_memory_positions(kinds, addrs, || {
+                    base + rng.next_below(slots) * ACCESS_SIZE as u64
+                });
+            }
+            AccessPattern::Gather { hot_probability, hot_fraction } => {
+                let (hot_slots, all_slots) = gather_slots(len, hot_fraction);
+                fill_memory_positions(kinds, addrs, || {
+                    let slots = if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
+                    base + rng.next_below(slots) * ACCESS_SIZE as u64
+                });
             }
             // Multi-stream and stateful walks: per-access generation, but
             // the pattern dispatch still happens once per block.
             _ => {
                 for &kind in kinds {
-                    if kind.is_memory() {
-                        addrs.push(self.next_addr(kind, rng));
-                        sizes.push(ACCESS_SIZE);
-                    } else {
-                        addrs.push(0);
-                        sizes.push(0);
-                    }
+                    addrs.push(if kind.is_memory() { self.next_addr(kind, rng) } else { 0 });
                 }
             }
         }
@@ -269,11 +264,8 @@ impl AddressStream {
                 self.footprint.base + rng.next_below(slots) * ACCESS_SIZE as u64
             }
             AccessPattern::Gather { hot_probability, hot_fraction } => {
-                let hot_len = ((self.footprint.len as f64 * hot_fraction) as u64)
-                    .clamp(ACCESS_SIZE as u64, self.footprint.len);
-                let region_len =
-                    if rng.next_bool(hot_probability) { hot_len } else { self.footprint.len };
-                let slots = (region_len / ACCESS_SIZE as u64).max(1);
+                let (hot_slots, all_slots) = gather_slots(self.footprint.len, hot_fraction);
+                let slots = if rng.next_bool(hot_probability) { hot_slots } else { all_slots };
                 self.footprint.base + rng.next_below(slots) * ACCESS_SIZE as u64
             }
             AccessPattern::PointerChase => {
@@ -297,6 +289,43 @@ impl AddressStream {
                 }
                 addr
             }
+        }
+    }
+}
+
+/// Access slots of a gather walk's hot region and of its whole footprint
+/// of `len` bytes. The hot region spans at least one access and at most
+/// the footprint (`max`/`min`: `clamp` panics on a footprint shorter than
+/// one access).
+fn gather_slots(len: u64, hot_fraction: f64) -> (u64, u64) {
+    let hot_len = ((len as f64 * hot_fraction) as u64).max(ACCESS_SIZE as u64).min(len);
+    ((hot_len / ACCESS_SIZE as u64).max(1), (len / ACCESS_SIZE as u64).max(1))
+}
+
+/// Kinds whose memory positions [`fill_memory_positions`] compacts at a
+/// time; a position fits in a `u8`.
+const POSITION_CHUNK: usize = 256;
+
+/// Appends one address per kind to `addrs`: `draw()` at the memory kinds,
+/// called in order, and 0 elsewhere.
+///
+/// The memory positions of each chunk of kinds are compacted first, so the
+/// loop that draws runs once per memory access with no branch on the
+/// random kind sequence. Chunking bounds the position buffer for any
+/// block capacity.
+fn fill_memory_positions(kinds: &[InstKind], addrs: &mut Vec<u64>, mut draw: impl FnMut() -> u64) {
+    let start = addrs.len();
+    addrs.resize(start + kinds.len(), 0);
+    let mut positions = [0u8; POSITION_CHUNK];
+    for (kinds, out) in kinds.chunks(POSITION_CHUNK).zip(addrs[start..].chunks_mut(POSITION_CHUNK))
+    {
+        let mut count = 0;
+        for (i, k) in kinds.iter().enumerate() {
+            positions[count] = i as u8;
+            count += k.is_memory() as usize;
+        }
+        for &p in &positions[..count] {
+            out[p as usize] = draw();
         }
     }
 }
@@ -374,6 +403,19 @@ mod tests {
         let frac = hot_hits as f64 / n as f64;
         // 90% targeted + ~1% of the cold accesses landing in the hot range.
         assert!(frac > 0.85, "hot fraction {frac}");
+    }
+
+    #[test]
+    fn gather_over_a_footprint_shorter_than_one_access_stays_at_its_base() {
+        let tiny = MemRegion::new(0x2000, 4);
+        let gather = AccessPattern::Gather { hot_probability: 0.5, hot_fraction: 0.5 };
+        let mut s = AddressStream::new(gather, tiny, MemRegion::empty(), 0);
+        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        let kinds = [InstKind::Load, InstKind::IntAlu, InstKind::Store];
+        let (mut addrs, mut sizes) = (Vec::new(), Vec::new());
+        s.fill_addrs(&kinds, &mut addrs, &mut sizes, &mut rng);
+        assert_eq!(addrs, [0x2000, 0, 0x2000]);
+        assert_eq!(s.next_addr(InstKind::Load, &mut rng), 0x2000);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl TraceSpec {
             Xoshiro256pp::seed_from_u64(self.code_seed),
             Xoshiro256pp::seed_from_u64(self.seed),
             addresses,
-            self.mix.clone(),
+            &self.mix,
         )
     }
 
